@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -190,16 +189,7 @@ def _cmd_ihara_congruence(args):
 
 def _cmd_ihara_freeness(args):
     _check_ihara_degree(args.max_degree)
-    if args.threads > 1:
-        degrees = range(2, args.max_degree + 1)
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            computed = list(pool.map(ihara.special_dim, degrees))
-        expected = motivic.image_model_dims(args.max_degree)
-        rows = [{"degree": n, "computed": c, "expected": expected[n],
-                 "match": c == expected[n]}
-                for n, c in zip(degrees, computed)]
-    else:
-        rows = ihara.freeness_table(args.max_degree)
+    rows = ihara.freeness_table(args.max_degree)
     ok = all(r["match"] for r in rows)
     return ({"max_degree": args.max_degree, "rows": rows, "all_match": ok},
             _rows_table(rows, ("degree", "computed", "expected", "match")))
@@ -347,7 +337,6 @@ def _build_parser() -> _Parser:
             help="stable dims vs free-model dims")
     p.add_argument("--max-degree", type=int,
                    default=ihara.DEFAULT_MAX_DEGREE)
-    p.add_argument("--threads", type=int, default=1)
 
     mo = groups.add_parser("motivic").add_subparsers(dest="verb",
                                                      required=True)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import InhomogeneousError
-from .lie import LieElement, bracket, from_coordinates
+from .lie import LieElement, _merge_scaled, bracket, from_coordinates
 from .words import (GradedAlphabet, lyndon_words, witt_dim,
                     _std_factorization)
 
@@ -80,10 +80,10 @@ class Derivation:
         """Extend through the Leibniz rule and evaluate at ``e``."""
         if e.alphabet != XY:
             raise ValueError("derivations act on the x,y algebra")
-        out = LieElement.zero(XY)
+        acc: dict = {}
         for w, c in e.terms.items():
-            out = out + self._on_word(w).scale(c)
-        return out
+            _merge_scaled(acc, self._on_word(w).terms, c)
+        return LieElement(XY, acc)
 
     def __call__(self, e: LieElement) -> LieElement:
         return self.apply(e)

@@ -29,15 +29,15 @@ from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .derivations import X, XY, Y, Derivation
 from .errors import (DegenerateLeadingTermError, InhomogeneousError,
                      NotOneDimensionalError, SpecialConditionError)
-from .lie import (LieElement, _basis_bracket, _merge_scaled, bracket,
-                  from_coordinates, lie_to_string, substitute)
-from .linalg import kernel_basis, kernel_dim_mod, reduced_echelon
+from .lie import (LieElement, _basis_bracket, _merge_scaled, _word_images,
+                  bracket, from_coordinates, lie_to_string)
+from .linalg import (FullRankSolver, _echelon_int, _kernel_of_echelon,
+                     kernel_basis, kernel_dim_mod, reduced_echelon)
 from .motivic import image_model_dims
 from .words import _lyndon_tuples, _std_factorization
 
@@ -196,28 +196,64 @@ def _pentagon_rows(n: int):
 
 # ---------------------------------------------------------------------
 # The stable space itself.
+#
+# Everything that depends on the degree n alone is cached per degree, so
+# that queries (is_stable, special_witness, the verified bracket) reuse
+# it: the factored ad(z) matrix, the 2-cycle and 3-cycle images of each
+# Lyndon word, the hex basis and the 5-cycle cut in hex coordinates.
 # ---------------------------------------------------------------------
+
+def _ad_columns(a: LieElement, n: int) -> list[list]:
+    """Coordinates of [a, w] in degree n + 1, one column per degree-n
+    Lyndon word w, for a of degree 1."""
+    return [bracket(a, LieElement(XY, {w: 1})).coordinates(n + 1)
+            for w in _lyndon_tuples((1, 1), n)]
+
 
 @functools.lru_cache(maxsize=None)
 def _special_pair_matrix(n: int):
     """Integer matrix whose kernel is {(f, u) : [y, f] = [z, u]} in the
     coordinates (f over the degree-n Lyndon basis, then u likewise)."""
-    basis = _lyndon_tuples((1, 1), n)
-    cols = []
-    for w in basis:
-        sw = LieElement(XY, {w: 1})
-        cols.append(bracket(Y, sw).coordinates(n + 1))
-    for w in basis:
-        sw = LieElement(XY, {w: 1})
-        cols.append([-c for c in bracket(Z, sw).coordinates(n + 1)])
+    cols = _ad_columns(Y, n) + [[-c for c in col]
+                                for col in _ad_columns(Z, n)]
     return [list(row) for row in zip(*cols)]
 
 
+@functools.lru_cache(maxsize=None)
+def _ad_z(n: int) -> FullRankSolver:
+    """ad(z) from degree n to degree n + 1, factored for solving; it is
+    injective for n >= 2."""
+    return FullRankSolver([list(row) for row in zip(*_ad_columns(Z, n))])
+
+
+@functools.lru_cache(maxsize=None)
+def _symmetry_images(n: int) -> dict:
+    """For each degree-n Lyndon word w, its 2-cycle defect w + w(y, x)
+    and its 3-cycle defect w + w(y, z) + w(z, x), as raw dicts."""
+    yx, yz, zx = (_word_images(imgs) for imgs in ((Y, X), (Y, Z), (Z, X)))
+    out = {}
+    for w in _lyndon_tuples((1, 1), n):
+        tau = {w: 1}
+        _merge_scaled(tau, yx(w).terms, 1)
+        cyc = {w: 1}
+        _merge_scaled(cyc, yz(w).terms, 1)
+        _merge_scaled(cyc, zx(w).terms, 1)
+        out[w] = (tau, cyc)
+    return out
+
+
 def _symmetry_rows(f: LieElement, n: int) -> list:
-    """Coordinates of the 2-cycle and 3-cycle defects of f."""
-    tau = f + substitute(f, (Y, X))
-    cyc = f + substitute(f, (Y, Z)) + substitute(f, (Z, X))
-    return tau.coordinates(n) + cyc.coordinates(n)
+    """Coordinates of the 2-cycle and 3-cycle defects of f, which is
+    homogeneous of degree n."""
+    images = _symmetry_images(n)
+    tau: dict = {}
+    cyc: dict = {}
+    for w, c in f.terms.items():
+        tw, cw = images[w]
+        _merge_scaled(tau, tw, c)
+        _merge_scaled(cyc, cw, c)
+    basis = _lyndon_tuples((1, 1), n)
+    return [tau.get(w, 0) for w in basis] + [cyc.get(w, 0) for w in basis]
 
 
 @functools.lru_cache(maxsize=None)
@@ -244,15 +280,20 @@ def _hex_pairs(n: int) -> tuple:
 
 
 @functools.lru_cache(maxsize=None)
-def _stable_pairs(n: int) -> tuple:
-    """Canonical basis of {(f, u) : f in D_n}, cut out of the hex space
-    by the 5-cycle rows and put in reduced echelon form over the
-    f-coordinates."""
-    if n < 2:
-        return ()
+def _hex_cut(n: int) -> tuple:
+    """The 5-cycle condition on the hex space, in hex coordinates.
+
+    Returns (solver, ech, pivots).  ``solver`` finds the coordinates t of
+    an f-part in the hex basis, f = sum t_j h_j with h_j the f-parts of
+    :func:`_hex_pairs`.  ``ech`` and ``pivots`` are the echelon form of
+    the matrix whose columns C_j are the 5-cycle sums of the h_j over the
+    fiber basis, so sum t_j C_j = 0 exactly when ech t = 0.
+    """
     hexes = _hex_pairs(n)
+    solver = FullRankSolver([[f.terms.get(w, 0) for f, _ in hexes]
+                             for w in _lyndon_tuples((1, 1), n)])
     if not hexes:
-        return ()
+        return solver, [], []
     rows = _pentagon_rows(n)
     fiber_basis = _lyndon_tuples((1, 1, 1), n)
     cols = []
@@ -268,7 +309,21 @@ def _stable_pairs(n: int) -> tuple:
                 "5-cycle base component failed to cancel on a 2-cycle "
                 "symmetric element")
         cols.append([fib.get(v, 0) for v in fiber_basis])
-    combos = kernel_basis([list(row) for row in zip(*cols)])
+    return (solver, *_echelon_int([list(row) for row in zip(*cols)]))
+
+
+@functools.lru_cache(maxsize=None)
+def _stable_pairs(n: int) -> tuple:
+    """Canonical basis of {(f, u) : f in D_n}, cut out of the hex space
+    by the 5-cycle rows and put in reduced echelon form over the
+    f-coordinates."""
+    if n < 2:
+        return ()
+    hexes = _hex_pairs(n)
+    if not hexes:
+        return ()
+    _, ech, pivots = _hex_cut(n)
+    combos = _kernel_of_echelon(ech, pivots, len(hexes))
     if not combos:
         return ()
     d = len(_lyndon_tuples((1, 1), n))
@@ -305,35 +360,32 @@ def special_dim(n: int) -> int:
 
 
 def special_witness(f: LieElement) -> LieElement:
-    """The unique u with [y, f] = [z, u], given f special of degree >= 2."""
+    """The unique u with [y, f] = [z, u], given f special of degree >= 2.
+
+    One solve against the factored ad(z) matrix of degree n, cached per
+    degree; the solve checks [z, u] = [y, f] exactly in every coordinate
+    of degree n + 1.  Raises :class:`SpecialConditionError` when f is not
+    special or not homogeneous of degree >= 2.
+    """
     n = f.homogeneous_degree()
     if n is None or n < 2:
         raise SpecialConditionError("witness is defined in degree >= 2")
-    basis = _lyndon_tuples((1, 1), n)
-    target = bracket(Y, f).coordinates(n + 1)
-    cols = []
-    for w in basis:
-        sw = LieElement(XY, {w: 1})
-        cols.append(bracket(Z, sw).coordinates(n + 1))
-    cols.append([-t for t in target])
-    aug = [list(row) for row in zip(*cols)]
-    # Solve [z, u] = [y, f] by joining the target as an extra column and
-    # reading the kernel; the witness exists iff some kernel vector has a
-    # nonzero last coordinate.
-    for v in kernel_basis(aug):
-        if v[-1]:
-            scale = v[-1]
-            return from_coordinates(
-                XY, n, [Fraction(c, scale) for c in v[:-1]])
-    raise SpecialConditionError("[y, f] is not of the form [z, u]")
+    u = _ad_z(n).solve(bracket(Y, f).coordinates(n + 1))
+    if u is None:
+        raise SpecialConditionError("[y, f] is not of the form [z, u]")
+    return from_coordinates(XY, n, u)
 
 
 def is_stable(f: LieElement, check_five_cycle: bool = True) -> bool:
     """Whether f satisfies the defining conditions of the stable space.
 
-    The 5-cycle check prices in the cost of the sphere braid evaluation;
-    pass ``check_five_cycle=False`` for the cheap necessary conditions
-    only.
+    The special condition is one solve against the factored degree-n
+    ad(z) matrix, and the 2- and 3-cycle conditions merge cached per-word
+    images.  The 5-cycle check then writes f in the hex basis (special,
+    2-cycle and 3-cycle together) and tests those coordinates against the
+    5-cycle cut; the first check in a degree builds the hex basis and the
+    5-cycle rows, everything after reuses them.  Pass
+    ``check_five_cycle=False`` for the cheap necessary conditions only.
     """
     n = f.homogeneous_degree()
     if n is None:
@@ -347,15 +399,13 @@ def is_stable(f: LieElement, check_five_cycle: bool = True) -> bool:
     if any(_symmetry_rows(f, n)):
         return False
     if check_five_cycle:
-        rows = _pentagon_rows(n)
-        fib: dict = {}
-        base: dict = {}
-        for w, c in f.terms.items():
-            rf, rb = rows[w]
-            _merge_scaled(fib, rf, c)
-            _merge_scaled(base, rb, c)
-        if fib or base:
-            return False
+        solver, ech, _ = _hex_cut(n)
+        t = solver.solve(f.coordinates(n))
+        if t is None:
+            raise AssertionError(
+                "element satisfying the special, 2-cycle and 3-cycle "
+                "conditions lies outside the hex span")
+        return not any(sum(e * tj for e, tj in zip(row, t)) for row in ech)
     return True
 
 

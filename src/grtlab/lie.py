@@ -154,10 +154,6 @@ class LieElement:
                 for w in sorted(self.terms,
                                 key=lambda w: (self.alphabet.word_degree(w), w))]
 
-    def map_coefficients(self, fn: Callable) -> "LieElement":
-        return LieElement(self.alphabet,
-                          {w: fn(c) for w, c in self.terms.items()})
-
     def __repr__(self) -> str:
         return f"LieElement({lie_to_string(self)})"
 
@@ -254,6 +250,20 @@ def substitute(f: LieElement, images: Iterable[LieElement],
     if not imgs:
         raise ValueError("need at least one image")
     target = imgs[0].alphabet
+    if any(img.alphabet != target for img in imgs):
+        raise AlphabetMismatchError("substitution images over different "
+                                    "alphabets")
+    on_word = _word_images(imgs, max_degree)
+    acc: dict[Word, object] = {}
+    for w, c in f.terms.items():
+        _merge_scaled(acc, on_word(w).terms, c)
+    return LieElement(target, acc)
+
+
+def _word_images(imgs: tuple[LieElement, ...], max_degree: int | None = None
+                 ) -> Callable[[Word], LieElement]:
+    """The map w -> sigma(w) evaluated at letter i -> imgs[i], memoized
+    along standard factorizations for as long as the caller keeps it."""
     cache: dict[Word, LieElement] = {}
 
     def on_word(w: Word) -> LieElement:
@@ -269,10 +279,7 @@ def substitute(f: LieElement, images: Iterable[LieElement],
             cache[w] = got
         return got
 
-    out = LieElement.zero(target)
-    for w, c in f.terms.items():
-        out = out + on_word(w).scale(c)
-    return out
+    return on_word
 
 
 # ---------------------------------------------------------------------------

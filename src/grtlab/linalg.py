@@ -136,8 +136,13 @@ def kernel_basis(m) -> list[list[int]]:
     rows = _rows_of(m)
     if not rows:
         return []
-    ncols = len(rows[0])
-    ech, pivots = _echelon_int(rows)
+    return _kernel_of_echelon(*_echelon_int(rows), len(rows[0]))
+
+
+def _kernel_of_echelon(ech: list[list[int]], pivots: list[int],
+                       ncols: int) -> list[list[int]]:
+    """:func:`kernel_basis` of a matrix with ``ncols`` columns, read off
+    its echelon form (output of :func:`_echelon_int`)."""
     pivot_set = set(pivots)
     free_cols = [c for c in range(ncols) if c not in pivot_set]
     basis: list[list[int]] = []
@@ -180,22 +185,81 @@ def in_row_space(rows, vec) -> bool:
     return not any(residual_against(ech, pivots, vec))
 
 
+def _clear_above_pivots(ech: list[list[int]], pivots: list[int]) -> None:
+    """Fraction-free back elimination, in place: turns the echelon form
+    from :func:`_echelon_int` into a reduced one, each pivot column zero
+    outside its pivot row.  Rows stay primitive integral."""
+    for i in reversed(range(len(ech))):
+        p = pivots[i]
+        a = ech[i][p]
+        for j in range(i):
+            c = ech[j][p]
+            if c:
+                g = gcd(a, c)
+                fa, fc = a // g, c // g
+                ech[j] = _reduce_content(
+                    [fa * x - fc * y for x, y in zip(ech[j], ech[i])])
+
+
 def reduced_echelon(rows) -> list[list[int]]:
     """Reduced echelon over the rationals, rows rescaled to primitive
     integral with positive leading entry.  Canonical basis of the row
     space, ordered by pivot column."""
     ech, pivots = _echelon_int(_rows_of(rows))
-    n = len(ech)
-    out: list[list[Fraction]] = [[Fraction(x) for x in r] for r in ech]
-    for i in reversed(range(n)):
-        p = pivots[i]
-        lead = out[i][p]
-        out[i] = [x / lead for x in out[i]]
-        for j in range(i):
-            c = out[j][p]
-            if c:
-                out[j] = [a - c * b for a, b in zip(out[j], out[i])]
-    return [_sign_normalize(_primitive_int_row(r)) for r in out]
+    _clear_above_pivots(ech, pivots)
+    return [_sign_normalize(r) for r in ech]
+
+
+class FullRankSolver:
+    """Exact solutions of A x = b for one integer matrix A of full column
+    rank and many right-hand sides b.
+
+    The factorization is done once.  :func:`_echelon_int` on the
+    transpose of A picks ncols linearly independent rows of A, the pivot
+    rows.  Fraction-free Gauss-Jordan elimination of [B | I], with B the
+    square block of pivot rows, gives an integer R and a diagonal D with
+    R B = D; R is kept as sparse rows.  A solve is then integer dot
+    products: x = D^-1 R b on the pivot rows, and an exact check of
+    A x = b on the other rows, which decides whether a solution exists.
+    """
+
+    def __init__(self, m):
+        rows = _rows_of(m)
+        if any(type(x) is not int for row in rows for x in row):
+            raise ValueError("FullRankSolver needs integer entries")
+        ncols = len(rows[0]) if rows else 0
+        _, pivot_rows = _echelon_int([list(c) for c in zip(*rows)])
+        if len(pivot_rows) != ncols:
+            raise ValueError("matrix is not of full column rank")
+        ech, pivots = _echelon_int(
+            [rows[r] + [int(i == j) for j in range(ncols)]
+             for i, r in enumerate(pivot_rows)])
+        _clear_above_pivots(ech, pivots)
+        diag = [row[i] for i, row in enumerate(ech)]
+        self._nrows = len(rows)
+        self._den = lcm(*diag)
+        # Row i gives den * x_i as a sparse dot product with b.
+        self._inverse = [
+            [(pivot_rows[j], t * (self._den // d))
+             for j, t in enumerate(row[ncols:]) if t]
+            for row, d in zip(ech, diag)]
+        pivot_set = set(pivot_rows)
+        self._checks = [(r, [(j, a) for j, a in enumerate(row) if a])
+                        for r, row in enumerate(rows) if r not in pivot_set]
+
+    def solve(self, b) -> list[Fraction] | None:
+        """The unique x with A x = b, or None when there is none.  The
+        entries of ``b`` may be integers or fractions."""
+        if len(b) != self._nrows:
+            raise ValueError(f"expected {self._nrows} entries, got {len(b)}")
+        q = lcm(*(x.denominator for x in b if isinstance(x, Fraction)))
+        bq = [int(x * q) for x in b]
+        # x = num / (den * q), in integers throughout
+        num = [sum(t * bq[r] for r, t in row) for row in self._inverse]
+        for r, row in self._checks:
+            if sum(a * num[j] for j, a in row) != bq[r] * self._den:
+                return None
+        return [Fraction(v, self._den * q) for v in num]
 
 
 # ---------------------------------------------------------------------------

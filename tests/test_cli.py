@@ -109,19 +109,14 @@ def test_ihara_commands():
     assert r.status == 0
     assert r.payload["left"] == 3 and r.payload["right"] == 5
 
+    r = run(["ihara", "freeness", "--max-degree", "8"])
+    assert r.status == 0
+    assert r.payload["all_match"] is True
+
     r = run(["ihara", "congruence", "--json"])
     assert r.status == 0
     assert r.payload["divisible"] is True
     assert int(r.payload["coordinate_gcd"]) % 691 == 0
-
-
-def test_ihara_freeness_threads_agree():
-    serial = run(["ihara", "freeness", "--max-degree", "8"])
-    threaded = run(["ihara", "freeness", "--max-degree", "8",
-                    "--threads", "2"])
-    assert serial.status == threaded.status == 0
-    assert serial.payload == threaded.payload
-    assert serial.payload["all_match"] is True
 
 
 def test_motivic_commands():

@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -19,6 +20,7 @@ from grtlab import (
     in_row_space,
     inner_matrix,
     is_stable,
+    kernel_basis,
     parse_lie,
     soule_generator,
     special_basis,
@@ -28,6 +30,9 @@ from grtlab import (
     stable_derivation,
 )
 from grtlab.derivations import X, XY, Y
+from grtlab.ihara import _hex_pairs
+from grtlab.lie import from_coordinates
+from grtlab.words import _lyndon_tuples
 
 from conftest import random_homogeneous
 
@@ -83,17 +88,61 @@ def test_generator_requires_a_line():
             soule_generator(m)
 
 
+def _witness_by_kernel(f):
+    """Reference oracle for special_witness: join -[y, f] to the columns
+    [z, w] as one more column and read the kernel.  A witness exists iff
+    some kernel vector has a nonzero last coordinate; None otherwise."""
+    n = f.homogeneous_degree()
+    z = -X - Y
+    cols = [bracket(z, LieElement(XY, {w: 1})).coordinates(n + 1)
+            for w in _lyndon_tuples((1, 1), n)]
+    cols.append([-t for t in bracket(Y, f).coordinates(n + 1)])
+    for v in kernel_basis([list(row) for row in zip(*cols)]):
+        if v[-1]:
+            return from_coordinates(
+                XY, n, [Fraction(c, v[-1]) for c in v[:-1]])
+    return None
+
+
 def test_special_witness_identity():
     z = -X - Y
-    for m in (3, 5, 7):
-        f = soule_generator(m)
-        u = special_witness(f)
-        assert bracket(Y, f) == bracket(z, u)
-        # independent route: the identity must also vanish termwise in
-        # the tensor algebra, not only in the bracket basis
-        assert not expand_assoc(bracket(Y, f) - bracket(z, u)).terms
+    for m in (3, 5, 7, 8, 9, 10):
+        for f in special_basis(m):
+            f = f.scale(Fraction(-7, 3))
+            u = special_witness(f)
+            assert bracket(Y, f) == bracket(z, u)
+            # independent route: the identity must also vanish termwise in
+            # the tensor algebra, not only in the bracket basis
+            assert not expand_assoc(bracket(Y, f) - bracket(z, u)).terms
+            assert u == _witness_by_kernel(f)
     with pytest.raises(SpecialConditionError):
         special_witness(bracket(X, Y))
+    rng = random.Random(502)
+    for n in (8, 10):
+        for _ in range(4):
+            f = random_homogeneous(XY, n, rng, max_terms=6)
+            assert f and _witness_by_kernel(f) is None
+            with pytest.raises(SpecialConditionError):
+                special_witness(f)
+
+
+def test_is_stable_rejects_on_five_cycle_alone():
+    # In these degrees the special, 2-cycle and 3-cycle conditions leave
+    # more than D_n; only the 5-cycle condition cuts the rest away.
+    for n, hex_dim in ((7, 2), (9, 4), (10, 2)):
+        basis = special_basis(n)
+        assert len(basis) == 1
+        hexes = [f for f, _ in _hex_pairs(n)]
+        assert len(hexes) == hex_dim
+        rows = [[int(c) for c in b.coordinates(n)] for b in basis]
+        outside = [f for f in hexes
+                   if not in_row_space(rows, f.coordinates(n))]
+        assert outside
+        for f in outside:
+            assert not is_stable(f)
+            assert is_stable(f, check_five_cycle=False)
+        assert is_stable(basis[0].scale(Fraction(5, 4)))
+        assert not is_stable(basis[0].scale(Fraction(5, 4)) + outside[0])
 
 
 def test_is_stable_rejections():

@@ -18,6 +18,7 @@ from grtlab import (
     reduced_echelon,
     smith_normal_form,
 )
+from grtlab.linalg import FullRankSolver
 
 from conftest import random_int_matrix
 
@@ -62,6 +63,33 @@ def test_kernel_basis_is_canonical():
         for v in basis:
             nz = [x for x in v if x]
             assert nz and nz[0] > 0
+
+
+def test_full_rank_solver_roundtrip():
+    rng = random.Random(307)
+    solved = 0
+    for _ in range(40):
+        nr = rng.randint(1, 7)
+        m = random_int_matrix(rng, nr, rng.randint(1, nr))
+        if rank(m) < len(m[0]):
+            with pytest.raises(ValueError):
+                FullRankSolver(m)
+            continue
+        solver = FullRankSolver(m)
+        x = [Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+             for _ in m[0]]
+        b = _mat_vec(m, x)
+        assert solver.solve(b) == x
+        solved += 1
+        # a right-hand side outside the column space has no solution
+        if nr > len(m[0]):
+            off = list(b)
+            off[rng.randrange(nr)] += 1
+            if not in_row_space([list(c) for c in zip(*m)], off):
+                assert solver.solve(off) is None
+    assert solved > 20
+    with pytest.raises(ValueError):
+        FullRankSolver([[Fraction(1, 2)]])
 
 
 def test_reduced_echelon_properties():
