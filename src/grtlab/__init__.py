@@ -7,8 +7,8 @@ from .errors import (AlphabetMismatchError, AtomicWordError,
                      ClassMismatchError, DegenerateLeadingTermError,
                      GrtError, InhomogeneousError, LieSyntaxError,
                      NotALiePolynomialError, NotOneDimensionalError,
-                     SpecialConditionError, UnknownGeneratorError,
-                     UnsupportedFamilyError)
+                     PreconditionError, SpecialConditionError,
+                     UnknownGeneratorError, UnsupportedFamilyError)
 from .words import (GradedAlphabet, LyndonWord, all_words, is_lyndon,
                     lyndon_words, standard_factorization, tate_weight,
                     weighted_witt_dims, witt_dim)

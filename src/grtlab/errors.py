@@ -10,6 +10,12 @@ class GrtError(Exception):
     """Base class for all errors raised by grtlab."""
 
 
+class PreconditionError(GrtError, ValueError):
+    """An argument is outside the range an operation is defined on (a
+    degree, modulus or cap too small).  It is a ``ValueError`` too, so
+    callers that catch that keep working."""
+
+
 class AlphabetMismatchError(GrtError):
     """Two operands live over different graded alphabets."""
 

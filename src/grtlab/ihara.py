@@ -32,8 +32,8 @@ import math
 from typing import Mapping, Sequence
 
 from .derivations import X, XY, Y, Derivation
-from .errors import (DegenerateLeadingTermError, InhomogeneousError,
-                     NotOneDimensionalError, SpecialConditionError)
+from .errors import (DegenerateLeadingTermError, NotOneDimensionalError,
+                     PreconditionError, SpecialConditionError)
 from .lie import (LieElement, _basis_bracket, _merge_scaled, _word_images,
                   bracket, from_coordinates, lie_to_string)
 from .linalg import (FullRankSolver, _echelon_int, _kernel_of_echelon,
@@ -44,8 +44,10 @@ from .words import _lyndon_tuples, _std_factorization
 Z = LieElement(XY, {(0,): -1, (1,): -1})
 
 #: Default cap on the degree of stable-space computations offered by the
-#: command line.  Everything through here runs in seconds to a couple of
-#: minutes; the cost of the 5-cycle rows grows quickly past it.
+#: command line.  On a 2-core VM (Python 3.11) a build from cold caches
+#: takes about 2.5 s through degree 10, about 20 s more for degree 11 and
+#: about 110 s more for degree 12, at a peak RSS near 1.1 GB; the cost of
+#: the 5-cycle evaluation grows with the fiber dimension past it.
 DEFAULT_MAX_DEGREE = 12
 HARD_MAX_DEGREE = 16
 
@@ -55,9 +57,9 @@ HARD_MAX_DEGREE = 16
 #
 # Elements of the model are pairs (fiber, base) of raw coefficient dicts
 # {word tuple: int}, fiber over the letters a1, a2, a3 (indices 0, 1, 2)
-# and base over x, y.  All caches below are global on purpose: the
-# evaluation of a basis word at a fixed argument pair does not depend on
-# the element being tested, so rows are shared across degrees and calls.
+# and base over x, y.  The action caches and the evaluations of words
+# below the degree being cut are global and shared across degrees; the
+# 5-cycle sums of degree-n elements are built on demand and not kept.
 # ---------------------------------------------------------------------
 
 def _braw(t1: Mapping, t2: Mapping) -> dict:
@@ -96,16 +98,11 @@ def _act_im(w):
     if im is None:
         u, v = _std_factorization(w)
         imv, imu = _act_im(v), _act_im(u)
-        im = tuple(_sub(_act_apply(u, imv[i]), _act_apply(v, imu[i]))
+        im = tuple(_act_into(_act_into({}, {u: 1}, imv[i], 1),
+                             {v: 1}, imu[i], -1)
                    for i in range(3))
         _ACT_IM[w] = im
     return im
-
-
-def _sub(d1: Mapping, d2: Mapping) -> dict:
-    acc = dict(d1)
-    _merge_scaled(acc, d2, -1)
-    return acc
 
 
 def _act_on_word(w, v) -> dict:
@@ -123,30 +120,19 @@ def _act_on_word(w, v) -> dict:
     return r
 
 
-def _act_apply(w, fiber: Mapping) -> dict:
-    acc: dict = {}
-    for v, cv in fiber.items():
-        _merge_scaled(acc, _act_on_word(w, v), cv)
-    return acc
-
-
-def _act_dense(base: Mapping, fiber: Mapping) -> dict:
-    acc: dict = {}
+def _act_into(acc: dict, base: Mapping, fiber: Mapping, scale) -> dict:
+    """acc += scale * (action of base on fiber); returns acc."""
     for w, cw in base.items():
         for v, cv in fiber.items():
-            _merge_scaled(acc, _act_on_word(w, v), cw * cv)
+            _merge_scaled(acc, _act_on_word(w, v), scale * cw * cv)
     return acc
 
 
-def _sd_bracket(e1, e2):
-    """Bracket in the semidirect product, on (fiber, base) dict pairs."""
+def _sd_fiber(e1, e2) -> dict:
+    """Fiber part of the bracket in the semidirect product, on (fiber,
+    base) dict pairs."""
     (fa, pa), (fb, pb) = e1, e2
-    fib = _braw(fa, fb)
-    if pa and fb:
-        _merge_scaled(fib, _act_dense(pa, fb), 1)
-    if pb and fa:
-        _merge_scaled(fib, _act_dense(pb, fa), -1)
-    return fib, _braw(pa, pb)
+    return _act_into(_act_into(_braw(fa, fb), pa, fb, 1), pb, fa, -1)
 
 
 # Consecutive chords x_{12}, x_{23}, x_{34}, x_{45}, x_{51} written in the
@@ -171,27 +157,44 @@ def _eval_word(p: int, w):
             r = _PAIR_ARGS[p][w[0]]
         else:
             u, v = _std_factorization(w)
-            r = _sd_bracket(_eval_word(p, u), _eval_word(p, v))
+            eu, ev = _eval_word(p, u), _eval_word(p, v)
+            r = _sd_fiber(eu, ev), _braw(eu[1], ev[1])
         cache[w] = r
     return r
 
 
-@functools.lru_cache(maxsize=None)
-def _pentagon_rows(n: int):
-    """For each Lyndon word of degree n, the 5-cycle sum of its standard
-    bracketing, as a (fiber dict, base dict) pair of raw coefficient
-    dicts.  The base part equals f + f(y, x) termwise, so it vanishes on
-    anything satisfying the 2-cycle condition."""
-    rows = {}
-    for w in _lyndon_tuples((1, 1), n):
-        fib: dict = {}
-        base: dict = {}
-        for p in range(5):
-            fw, bw = _eval_word(p, w)
-            _merge_scaled(fib, fw, 1)
-            _merge_scaled(base, bw, 1)
-        rows[w] = (fib, base)
-    return rows
+def _pentagon_rows(n: int, elements: Sequence[Mapping]) -> list[dict]:
+    """Fiber part of the 5-cycle sum of each element, a raw dict over
+    degree-n Lyndon words (n >= 2).  The base part, f + f(y, x), is not
+    built; pair 0, (x12, x23), lies in the base and is skipped.  Words are
+    grouped by left standard factor u, and each group takes one bracket
+    per element, [eval(u), sum_v c_v eval(v)], or one per word w = u v,
+    whichever is fewer; degree-n evaluations are not cached."""
+    groups: dict = {}
+    for j, f in enumerate(elements):
+        for w, c in f.items():
+            u, v = _std_factorization(w)
+            groups.setdefault(u, {}).setdefault(v, []).append((j, c))
+    out = [{} for _ in elements]
+    for p in range(1, 5):
+        for u, by_v in groups.items():
+            eu = _eval_word(p, u)
+            users = {j for terms in by_v.values() for j, _ in terms}
+            if len(users) < len(by_v):
+                right = {j: ({}, {}) for j in users}
+                for v, terms in by_v.items():
+                    fv, bv = _eval_word(p, v)
+                    for j, c in terms:
+                        _merge_scaled(right[j][0], fv, c)
+                        _merge_scaled(right[j][1], bv, c)
+                for j, r in right.items():
+                    _merge_scaled(out[j], _sd_fiber(eu, r), 1)
+            else:
+                for v, terms in by_v.items():
+                    fib = _sd_fiber(eu, _eval_word(p, v))
+                    for j, c in terms:
+                        _merge_scaled(out[j], fib, c)
+    return out
 
 
 # ---------------------------------------------------------------------
@@ -202,6 +205,20 @@ def _pentagon_rows(n: int):
 # it: the factored ad(z) matrix, the 2-cycle and 3-cycle images of each
 # Lyndon word, the hex basis and the 5-cycle cut in hex coordinates.
 # ---------------------------------------------------------------------
+
+def clear_caches() -> None:
+    """Drop the stable-space caches: per-degree matrices, solvers and
+    bases, 5-cycle evaluations of words and the action of base words on
+    fiber words.  Later calls rebuild them, with identical results."""
+    for cached in (_special_pair_matrix, _ad_z, _symmetry_images,
+                   _hex_pairs, _hex_cut, _stable_pairs):
+        cached.cache_clear()
+    for cache in _EVAL_CACHE:
+        cache.clear()
+    _ACT_ON_WORD.clear()
+    for w in [w for w in _ACT_IM if len(w) > 1]:
+        del _ACT_IM[w]
+
 
 def _ad_columns(a: LieElement, n: int) -> list[list]:
     """Coordinates of [a, w] in degree n + 1, one column per degree-n
@@ -260,23 +277,27 @@ def _symmetry_rows(f: LieElement, n: int) -> list:
 def _hex_pairs(n: int) -> tuple:
     """Basis of {(f, u)} satisfying special, 2-cycle and 3-cycle, before
     the 5-cycle cut.  Entries are (f, u) LieElement pairs."""
-    ker = kernel_basis(_special_pair_matrix(n))
     d = len(_lyndon_tuples((1, 1), n))
     pairs = [(from_coordinates(XY, n, v[:d]), from_coordinates(XY, n, v[d:]))
-             for v in ker]
+             for v in kernel_basis(_special_pair_matrix(n))]
     if not pairs:
         return ()
     cond = [_symmetry_rows(f, n) for f, _ in pairs]
-    combos = kernel_basis([list(col) for col in zip(*cond)])
+    return tuple(_combine(kernel_basis([list(col) for col in zip(*cond)]),
+                          pairs))
+
+
+def _combine(combos, pairs) -> list:
+    """The (f, u) pairs sum_j t_j pairs[j], one per coefficient vector t."""
     out = []
     for t in combos:
         f = LieElement.zero(XY)
         u = LieElement.zero(XY)
-        for ti, (fi, ui) in zip(t, pairs):
-            f = f + fi.scale(ti)
-            u = u + ui.scale(ti)
+        for tj, (fj, uj) in zip(t, pairs):
+            f = f + fj.scale(tj)
+            u = u + uj.scale(tj)
         out.append((f, u))
-    return tuple(out)
+    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -294,21 +315,15 @@ def _hex_cut(n: int) -> tuple:
                              for w in _lyndon_tuples((1, 1), n)])
     if not hexes:
         return solver, [], []
-    rows = _pentagon_rows(n)
+    # The evaluator skips the base part, f + f(y, x); it must vanish here.
+    d = len(_lyndon_tuples((1, 1), n))
+    if any(any(_symmetry_rows(f, n)[:d]) for f, _ in hexes):
+        raise AssertionError(
+            "5-cycle base component failed to cancel on a 2-cycle "
+            "symmetric element")
     fiber_basis = _lyndon_tuples((1, 1, 1), n)
-    cols = []
-    for f, _ in hexes:
-        fib: dict = {}
-        base: dict = {}
-        for w, c in f.terms.items():
-            rf, rb = rows[w]
-            _merge_scaled(fib, rf, c)
-            _merge_scaled(base, rb, c)
-        if base:
-            raise AssertionError(
-                "5-cycle base component failed to cancel on a 2-cycle "
-                "symmetric element")
-        cols.append([fib.get(v, 0) for v in fiber_basis])
+    cols = [[fib.get(v, 0) for v in fiber_basis]
+            for fib in _pentagon_rows(n, [f.terms for f, _ in hexes])]
     return (solver, *_echelon_int([list(row) for row in zip(*cols)]))
 
 
@@ -320,24 +335,15 @@ def _stable_pairs(n: int) -> tuple:
     if n < 2:
         return ()
     hexes = _hex_pairs(n)
-    if not hexes:
-        return ()
     _, ech, pivots = _hex_cut(n)
     combos = _kernel_of_echelon(ech, pivots, len(hexes))
     if not combos:
         return ()
     d = len(_lyndon_tuples((1, 1), n))
-    raw = []
-    for t in combos:
-        f = LieElement.zero(XY)
-        u = LieElement.zero(XY)
-        for ti, (fi, ui) in zip(t, hexes):
-            f = f + fi.scale(ti)
-            u = u + ui.scale(ti)
-        raw.append((f, u))
     # Canonical form: reduced echelon over the f-coordinates, with the u
     # witnesses transformed alongside.
-    fm = [f.coordinates(n) + u.coordinates(n) for f, u in raw]
+    fm = [f.coordinates(n) + u.coordinates(n)
+          for f, u in _combine(combos, hexes)]
     ech = reduced_echelon(fm)
     return tuple(
         (from_coordinates(XY, n, row[:d]), from_coordinates(XY, n, row[d:]))
@@ -348,14 +354,14 @@ def special_basis(n: int) -> list[LieElement]:
     """Canonical basis of the stable space D_n (reduced echelon form,
     primitive integer coordinate vectors)."""
     if n < 1:
-        raise ValueError("degree must be >= 1")
+        raise PreconditionError("degree must be >= 1")
     return [LieElement(XY, dict(f.terms)) for f, _ in _stable_pairs(n)]
 
 
 def special_dim(n: int) -> int:
     """dim D_n."""
     if n < 1:
-        raise ValueError("degree must be >= 1")
+        raise PreconditionError("degree must be >= 1")
     return len(_stable_pairs(n))
 
 
@@ -384,7 +390,7 @@ def is_stable(f: LieElement, check_five_cycle: bool = True) -> bool:
     images.  The 5-cycle check then writes f in the hex basis (special,
     2-cycle and 3-cycle together) and tests those coordinates against the
     5-cycle cut; the first check in a degree builds the hex basis and the
-    5-cycle rows, everything after reuses them.  Pass
+    cut, everything after reuses them.  Pass
     ``check_five_cycle=False`` for the cheap necessary conditions only.
     """
     n = f.homogeneous_degree()
@@ -415,20 +421,13 @@ def _stacked_condition_matrix(n: int):
     modest degrees, where it feeds the modular cross-check."""
     basis = _lyndon_tuples((1, 1), n)
     d = len(basis)
-    rows = [list(r) for r in _special_pair_matrix(n)]
-    sym_cols = []
-    for w in basis:
-        sw = LieElement(XY, {w: 1})
-        sym_cols.append(_symmetry_rows(sw, n))
-    for row in zip(*sym_cols):
-        rows.append(list(row) + [0] * d)
-    penta = _pentagon_rows(n)
     fiber_basis = _lyndon_tuples((1, 1, 1), n)
-    penta_cols = [[penta[w][0].get(v, 0) for v in fiber_basis]
-                  for w in basis]
-    for row in zip(*penta_cols):
-        rows.append(list(row) + [0] * d)
-    return rows
+    cols = [_symmetry_rows(LieElement(XY, {w: 1}), n)
+            + [fib.get(v, 0) for v in fiber_basis]
+            for w, fib in zip(basis,
+                              _pentagon_rows(n, [{w: 1} for w in basis]))]
+    return ([list(r) for r in _special_pair_matrix(n)]
+            + [list(row) + [0] * d for row in zip(*cols)])
 
 
 def special_dim_mod(n: int, p: int) -> int:
@@ -439,9 +438,9 @@ def special_dim_mod(n: int, p: int) -> int:
     defect in the condition matrix.
     """
     if n < 2:
-        raise ValueError("modular route is defined for degree >= 2")
+        raise PreconditionError("modular route is defined for degree >= 2")
     if p < 2:
-        raise ValueError("p must be a prime >= 2")
+        raise PreconditionError("p must be a prime >= 2")
     return kernel_dim_mod(_stacked_condition_matrix(n), p)
 
 
@@ -515,7 +514,7 @@ def check_congruence(modulus: int = 691,
     other sign choices for the generators come.
     """
     if modulus < 2:
-        raise ValueError("modulus must be >= 2")
+        raise PreconditionError("modulus must be >= 2")
     gens: dict[int, LieElement] = {}
     for _, m1, m2 in combination:
         for m in (m1, m2):
@@ -579,11 +578,11 @@ def freeness_table(max_degree: int = DEFAULT_MAX_DEGREE) -> list[dict]:
 
     Each row reports the computed stable dimension, the free-algebra
     prediction (:func:`grtlab.motivic.image_model_dims`), and whether
-    they agree.  Degrees 11 and 12 take tens of seconds; see
+    they agree.  Degree 11 adds about 20 s and degree 12 about 110 s; see
     DEFAULT_MAX_DEGREE.
     """
     if max_degree < 3:
-        raise ValueError("max_degree must be >= 3")
+        raise PreconditionError("max_degree must be >= 3")
     expected = image_model_dims(max_degree)
     out = []
     for n in range(2, max_degree + 1):

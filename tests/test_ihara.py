@@ -9,6 +9,7 @@ import pytest
 from grtlab import (
     LieElement,
     NotOneDimensionalError,
+    PreconditionError,
     SpecialConditionError,
     bracket,
     check_congruence,
@@ -29,9 +30,11 @@ from grtlab import (
     special_witness,
     stable_derivation,
 )
+from grtlab import ihara
 from grtlab.derivations import X, XY, Y
-from grtlab.ihara import _hex_pairs
-from grtlab.lie import from_coordinates
+from grtlab.ihara import (_eval_word, _hex_pairs, _pentagon_rows,
+                          _symmetry_images)
+from grtlab.lie import _merge_scaled, from_coordinates
 from grtlab.words import _lyndon_tuples
 
 from conftest import random_homogeneous
@@ -58,6 +61,63 @@ def test_modular_dims_match_rational():
     for n in range(2, 8):
         for p in PRIMES:
             assert special_dim_mod(n, p) == special_dim(n)
+    assert special_dim_mod(8, 101) == special_dim(8)
+
+
+@pytest.mark.slow
+def test_modular_dim_9():
+    assert special_dim_mod(9, 101) == special_dim(9) == 1
+
+
+def test_preconditions_raise_precondition_error():
+    calls = [lambda: special_basis(0), lambda: special_dim(0),
+             lambda: special_dim_mod(1, 101), lambda: special_dim_mod(5, 1),
+             lambda: check_congruence(modulus=1),
+             lambda: freeness_table(2)]
+    for call in calls:
+        with pytest.raises(PreconditionError) as info:
+            call()
+        assert isinstance(info.value, ValueError)
+
+
+def _pentagon_by_word(elements):
+    """Reference route for _pentagon_rows: the fiber part of the sum over
+    all five pairs for each word on its own, then merged into one column
+    per element."""
+    rows = {}
+    for w in {w for f in elements for w in f}:
+        row = {}
+        for p in range(5):
+            _merge_scaled(row, _eval_word(p, w)[0], 1)
+        rows[w] = row
+    cols = []
+    for f in elements:
+        col = {}
+        for w, c in f.items():
+            _merge_scaled(col, rows[w], c)
+        cols.append(col)
+    return cols
+
+
+def test_pentagon_rows_match_per_word_route():
+    for n in range(3, 11):
+        hexes = [f.terms for f, _ in _hex_pairs(n)]
+        assert _pentagon_rows(n, hexes) == _pentagon_by_word(hexes)
+    for n in range(2, 9):
+        words = [{w: 1} for w in _lyndon_tuples((1, 1), n)]
+        assert _pentagon_rows(n, words) == _pentagon_by_word(words)
+
+
+def test_pentagon_base_part_is_two_cycle_defect():
+    # The base parts of the five pairs add up to w + w(y, x), the 2-cycle
+    # defect; this is why the 5-cycle evaluator may skip them.
+    for n in range(2, 9):
+        images = _symmetry_images(n)
+        for w in _lyndon_tuples((1, 1), n):
+            base = {}
+            for p in range(5):
+                _merge_scaled(base, _eval_word(p, w)[1], 1)
+            assert base == images[w][0], w
 
 
 def test_basis_elements_are_stable():
@@ -262,3 +322,18 @@ def test_freeness_table_through_12():
     rows = freeness_table(12)
     assert all(r["match"] for r in rows)
     assert [r["computed"] for r in rows if r["degree"] >= 11] == [2, 2]
+
+
+def test_clear_caches_rebuilds_identical_bases():
+    before = {n: special_basis(n) for n in range(2, 10)}
+    ihara.clear_caches()
+    assert not any(ihara._EVAL_CACHE) and not ihara._ACT_ON_WORD
+    assert sorted(ihara._ACT_IM) == [(0,), (1,)]
+    # every per-degree cache of the module, so that a new one is not missed
+    per_degree = [f for f in vars(ihara).values() if hasattr(f, "cache_info")
+                  and f.__module__ == ihara.__name__]
+    assert len(per_degree) == 6
+    assert all(f.cache_info().currsize == 0 for f in per_degree)
+    assert {n: special_basis(n) for n in range(2, 10)} == before
+    # only the factors of degree-9 words were evaluated, not the words
+    assert max(len(w) for c in ihara._EVAL_CACHE for w in c) == 8
