@@ -2,6 +2,8 @@
 
 A derivation is stored by its images of the generators and extended to
 the whole algebra through the Leibniz rule along standard factorizations.
+The image of each Lyndon word is a raw {word: coefficient} dict, built
+with :func:`grtlab.lie._bracket_into` and cached per instance.
 A derivation of degree d sends the degree-n piece to degree n + d; in the
 weight convention used for display it acts in weight -2d.
 
@@ -16,7 +18,8 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import InhomogeneousError
-from .lie import LieElement, _merge_scaled, bracket, from_coordinates
+from .lie import (LieElement, _bracket_into, _merge_scaled, bracket,
+                  from_coordinates)
 from .words import (GradedAlphabet, lyndon_words, witt_dim,
                     _std_factorization)
 
@@ -62,17 +65,16 @@ class Derivation:
         self.degree = degree
         self._cache: dict = {}
 
-    def _on_word(self, w: tuple[int, ...]) -> LieElement:
+    def _on_word(self, w: tuple[int, ...]) -> dict:
         cached = self._cache.get(w)
         if cached is None:
             if len(w) == 1:
-                cached = self.image_x if w[0] == 0 else self.image_y
+                cached = (self.image_x if w[0] == 0 else self.image_y).terms
             else:
                 u, v = _std_factorization(w)
-                su = LieElement(XY, {u: 1})
-                sv = LieElement(XY, {v: 1})
-                cached = (bracket(self._on_word(u), sv)
-                          + bracket(su, self._on_word(v)))
+                cached = _bracket_into(
+                    _bracket_into({}, self._on_word(u), {v: 1}),
+                    {u: 1}, self._on_word(v))
             self._cache[w] = cached
         return cached
 
@@ -82,7 +84,7 @@ class Derivation:
             raise ValueError("derivations act on the x,y algebra")
         acc: dict = {}
         for w, c in e.terms.items():
-            _merge_scaled(acc, self._on_word(w).terms, c)
+            _merge_scaled(acc, self._on_word(w), c)
         return LieElement(XY, acc)
 
     def __call__(self, e: LieElement) -> LieElement:

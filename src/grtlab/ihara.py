@@ -34,7 +34,7 @@ from typing import Mapping, Sequence
 from .derivations import X, XY, Y, Derivation
 from .errors import (DegenerateLeadingTermError, NotOneDimensionalError,
                      PreconditionError, SpecialConditionError)
-from .lie import (LieElement, _basis_bracket, _merge_scaled, _word_images,
+from .lie import (LieElement, _bracket_into, _merge_scaled, _word_images,
                   bracket, from_coordinates, lie_to_string)
 from .linalg import (FullRankSolver, _echelon_int, _kernel_of_echelon,
                      kernel_basis, kernel_dim_mod, reduced_echelon)
@@ -62,21 +62,6 @@ HARD_MAX_DEGREE = 16
 # 5-cycle sums of degree-n elements are built on demand and not kept.
 # ---------------------------------------------------------------------
 
-def _braw(t1: Mapping, t2: Mapping) -> dict:
-    """Bracket of two raw coefficient dicts, in the Lyndon basis."""
-    acc: dict = {}
-    for u, cu in t1.items():
-        for v, cv in t2.items():
-            c = cu * cv
-            for w, n in _basis_bracket(u, v):
-                new = acc.get(w, 0) + c * n
-                if new:
-                    acc[w] = new
-                else:
-                    del acc[w]
-    return acc
-
-
 _A1 = {(0,): 1}
 _A2 = {(1,): 1}
 _A3 = {(2,): 1}
@@ -85,8 +70,8 @@ _A3 = {(2,): 1}
 # moves the chord a1 a2 pair, y the a2 a3 pair, matching the relations
 # among chords of five points on a sphere.
 _ACT_IM = {
-    (0,): (_braw(_A1, _A2), _braw(_A2, _A1), {}),
-    (1,): ({}, _braw(_A2, _A3), _braw(_A3, _A2)),
+    (0,): (_bracket_into({}, _A1, _A2), _bracket_into({}, _A2, _A1), {}),
+    (1,): ({}, _bracket_into({}, _A2, _A3), _bracket_into({}, _A3, _A2)),
 }
 
 _ACT_ON_WORD: dict = {}
@@ -114,8 +99,8 @@ def _act_on_word(w, v) -> dict:
             r = _act_im(w)[v[0]]
         else:
             u2, v2 = _std_factorization(v)
-            r = _braw(_act_on_word(w, u2), {v2: 1})
-            _merge_scaled(r, _braw({u2: 1}, _act_on_word(w, v2)), 1)
+            r = _bracket_into(_bracket_into({}, _act_on_word(w, u2), {v2: 1}),
+                              {u2: 1}, _act_on_word(w, v2))
         _ACT_ON_WORD[key] = r
     return r
 
@@ -132,7 +117,8 @@ def _sd_fiber(e1, e2) -> dict:
     """Fiber part of the bracket in the semidirect product, on (fiber,
     base) dict pairs."""
     (fa, pa), (fb, pb) = e1, e2
-    return _act_into(_act_into(_braw(fa, fb), pa, fb, 1), pb, fa, -1)
+    acc = _act_into(_bracket_into({}, fa, fb), pa, fb, 1)
+    return _act_into(acc, pb, fa, -1)
 
 
 # Consecutive chords x_{12}, x_{23}, x_{34}, x_{45}, x_{51} written in the
@@ -158,7 +144,7 @@ def _eval_word(p: int, w):
         else:
             u, v = _std_factorization(w)
             eu, ev = _eval_word(p, u), _eval_word(p, v)
-            r = _sd_fiber(eu, ev), _braw(eu[1], ev[1])
+            r = _sd_fiber(eu, ev), _bracket_into({}, eu[1], ev[1])
         cache[w] = r
     return r
 
@@ -291,12 +277,11 @@ def _combine(combos, pairs) -> list:
     """The (f, u) pairs sum_j t_j pairs[j], one per coefficient vector t."""
     out = []
     for t in combos:
-        f = LieElement.zero(XY)
-        u = LieElement.zero(XY)
+        f, u = {}, {}
         for tj, (fj, uj) in zip(t, pairs):
-            f = f + fj.scale(tj)
-            u = u + uj.scale(tj)
-        out.append((f, u))
+            _merge_scaled(f, fj.terms, tj)
+            _merge_scaled(u, uj.terms, tj)
+        out.append((LieElement(XY, f), LieElement(XY, u)))
     return out
 
 

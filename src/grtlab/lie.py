@@ -5,7 +5,9 @@ stands for its standard bracketing sigma(w), defined recursively by
 sigma(letter) = letter and sigma(w) = [sigma(u), sigma(v)] for the standard
 factorization w = u v.  Brackets of basis elements are rewritten back into
 the basis by the classical Lyndon rewriting process, with integer structure
-constants, and never touch the tensor algebra.
+constants, and never touch the tensor algebra.  Every bracket in the
+package, of elements here or of raw {word: coefficient} dicts in
+``derivations`` and ``ihara``, runs through one loop, :func:`_bracket_into`.
 
 The tensor algebra route (:func:`expand_assoc` / :func:`project_lyndon`)
 is implemented independently on purpose: the two routes cross-check each
@@ -109,11 +111,8 @@ class LieElement:
     # -- grading -----------------------------------------------------
 
     def graded_components(self) -> dict[int, "LieElement"]:
-        split: dict[int, dict] = {}
-        for w, c in self.terms.items():
-            split.setdefault(self.alphabet.word_degree(w), {})[w] = c
         return {n: LieElement(self.alphabet, t)
-                for n, t in sorted(split.items())}
+                for n, t in sorted(_by_degree(self).items())}
 
     def component(self, degree: int) -> "LieElement":
         return LieElement(self.alphabet,
@@ -201,13 +200,25 @@ def _basis_bracket(u: Word, v: Word) -> tuple[tuple[Word, int], ...]:
     if _is_standard_pair(u, v):
         return ((u + v, 1),)
     a, b = _std_factorization(u)
-    acc: dict[Word, int] = {}
-    for t, c in _basis_bracket(b, v):
-        _merge_scaled(acc, dict(_basis_bracket(a, t)), c)
-    for t, c in _basis_bracket(a, v):
-        # [[a,v], b] = -[b, [a,v]]
-        _merge_scaled(acc, dict(_basis_bracket(t, b)), c)
+    acc = _bracket_into({}, {a: 1}, dict(_basis_bracket(b, v)))
+    _bracket_into(acc, dict(_basis_bracket(a, v)), {b: 1})
     return tuple(sorted(acc.items()))
+
+
+def _bracket_into(acc: dict, t1: Mapping, t2: Mapping) -> dict:
+    """acc += [t1, t2] on raw {Lyndon word: coefficient} dicts, pruning
+    exact zeros; returns acc.  The one bracket loop of the package."""
+    get = acc.get
+    for u, cu in t1.items():
+        for v, cv in t2.items():
+            c = cu * cv
+            for w, n in _basis_bracket(u, v):
+                new = get(w, 0) + c * n
+                if new:
+                    acc[w] = new
+                else:
+                    del acc[w]
+    return acc
 
 
 def bracket(a: LieElement, b: LieElement,
@@ -215,26 +226,30 @@ def bracket(a: LieElement, b: LieElement,
     """Lie bracket [a, b], bilinear over the memoized basis brackets.
 
     ``max_degree`` discards products landing above the bound before they
-    are computed, which is what keeps truncated group computations cheap.
+    are computed, which is what keeps truncated group computations cheap:
+    the terms of each operand are grouped by degree once, and only pairs
+    of groups within the bound are bracketed.
     """
     if a.alphabet != b.alphabet:
         raise AlphabetMismatchError("bracket operands over different alphabets")
-    alph = a.alphabet
+    if max_degree is None:
+        return LieElement(a.alphabet, _bracket_into({}, a.terms, b.terms))
+    ga, gb = (_by_degree(e) for e in (a, b))
     acc: dict[Word, object] = {}
-    deg = alph.word_degree
-    for u, cu in a.terms.items():
-        du = deg(u)
-        for v, cv in b.terms.items():
-            if max_degree is not None and du + deg(v) > max_degree:
-                continue
-            coeff = cu * cv
-            for w, n in _basis_bracket(u, v):
-                new = acc.get(w, 0) + coeff * n
-                if new:
-                    acc[w] = new
-                else:
-                    del acc[w]
-    return LieElement(alph, acc)
+    for da, ta in ga.items():
+        for db, tb in gb.items():
+            if da + db <= max_degree:
+                _bracket_into(acc, ta, tb)
+    return LieElement(a.alphabet, acc)
+
+
+def _by_degree(e: LieElement) -> dict[int, dict]:
+    """The terms of e split by degree, as raw dicts."""
+    deg = e.alphabet.word_degree
+    split: dict[int, dict] = {}
+    for w, c in e.terms.items():
+        split.setdefault(deg(w), {})[w] = c
+    return split
 
 
 def substitute(f: LieElement, images: Iterable[LieElement],
@@ -333,12 +348,8 @@ class AssocPoly:
         self._check(other)
         acc: dict[Word, object] = {}
         for u, cu in self.terms.items():
-            for v, cv in other.terms.items():
-                new = acc.get(u + v, 0) + cu * cv
-                if new:
-                    acc[u + v] = new
-                else:
-                    del acc[u + v]
+            _merge_scaled(acc, {u + v: cv for v, cv in other.terms.items()},
+                          cu)
         return AssocPoly(self.alphabet, acc)
 
     def __eq__(self, other) -> bool:
@@ -405,20 +416,13 @@ def project_lyndon(p: AssocPoly) -> LieElement:
     out: dict[Word, object] = {}
     while remaining:
         w = min(remaining)
-        c = remaining.pop(w)
         if not is_lyndon(w):
             raise NotALiePolynomialError(
                 f"leading word {p.alphabet.word_str(w)!r} is not Lyndon; "
                 f"input is not a Lie polynomial", word=w)
-        out[w] = c
-        for t, n in _sigma_tensor(w):
-            if t == w:
-                continue
-            new = remaining.get(t, 0) - c * n
-            if new:
-                remaining[t] = new
-            else:
-                remaining.pop(t, None)
+        out[w] = c = remaining[w]
+        # sigma(w) is w plus larger words, so this clears w
+        _merge_scaled(remaining, dict(_sigma_tensor(w)), -c)
     return LieElement(p.alphabet, out)
 
 

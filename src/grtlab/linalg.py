@@ -142,18 +142,22 @@ def kernel_basis(m) -> list[list[int]]:
 def _kernel_of_echelon(ech: list[list[int]], pivots: list[int],
                        ncols: int) -> list[list[int]]:
     """:func:`kernel_basis` of a matrix with ``ncols`` columns, read off
-    its echelon form (output of :func:`_echelon_int`)."""
+    its echelon form (output of :func:`_echelon_int`, left unchanged).
+    Fraction-free: on the reduced form of a copy, free column f gets x_f
+    the lcm of the pivots e_ip of the rows i meeting column f, and
+    x_p = -e_if * (x_f / e_ip) on each such row."""
+    red = [list(row) for row in ech]
+    _clear_above_pivots(red, pivots)
     pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
     basis: list[list[int]] = []
-    for f in free_cols:
-        x: list[Fraction | int] = [0] * ncols
-        x[f] = Fraction(1)
-        for i in reversed(range(len(ech))):
-            p = pivots[i]
-            s = sum(ech[i][j] * x[j] for j in range(p + 1, ncols) if x[j])
-            x[p] = -Fraction(s, ech[i][p])
-        basis.append(_sign_normalize(_primitive_int_row(x)))
+    for f in (c for c in range(ncols) if c not in pivot_set):
+        rows = [(row[f], row[p], p) for row, p in zip(red, pivots) if row[f]]
+        xf = lcm(*(e for _, e, _ in rows))
+        x = [0] * ncols
+        x[f] = xf
+        for ef, ep, p in rows:
+            x[p] = -ef * (xf // ep)
+        basis.append(_sign_normalize(_reduce_content(x)))
     return basis
 
 
@@ -419,6 +423,9 @@ def _rows_mod(rows: list[list], p: int) -> list[list[int]]:
     for row in rows:
         new = []
         for x in row:
+            if type(x) is int:
+                new.append(x % p)
+                continue
             f = x if isinstance(x, Fraction) else Fraction(x)
             if f.denominator % p == 0:
                 raise ZeroDivisionError(
@@ -429,7 +436,8 @@ def _rows_mod(rows: list[list], p: int) -> list[list[int]]:
 
 
 def rank_mod(m, p: int) -> int:
-    """Rank over GF(p); p must be prime."""
+    """Rank over GF(p); p must be prime.  Rows below the pivot row are
+    zero left of the pivot column, so updates start at that column."""
     work = _rows_mod(_rows_of(m), p)
     work = [r for r in work if any(r)]
     if not work:
@@ -442,12 +450,12 @@ def rank_mod(m, p: int) -> int:
             continue
         work[r], work[piv] = work[piv], work[r]
         inv = pow(work[r][col], -1, p)
-        work[r] = [x * inv % p for x in work[r]]
-        for i in range(r + 1, len(work)):
-            c = work[i][col]
+        tail = [x * inv % p for x in work[r][col:]]
+        for row in work[r + 1:]:
+            c = row[col]
             if c:
-                work[i] = [(x - c * y) % p
-                           for x, y in zip(work[i], work[r])]
+                row[col:] = [(x - c * y) % p
+                             for x, y in zip(row[col:], tail)]
         r += 1
         if r == len(work):
             break

@@ -1,15 +1,18 @@
 """Derivations of the rank-two free Lie algebra: Leibniz rule, inner ideal."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from grtlab import (
+    AssocPoly,
     Derivation,
     bracket,
     der_bracket,
     derivation_from_coordinates,
     derivation_space_dim,
+    expand_assoc,
     in_row_space,
     inner,
     inner_matrix,
@@ -36,6 +39,34 @@ def test_leibniz_rule():
         b = random_element(XY, 4, rng)
         assert d(bracket(a, b)) == bracket(d(a), b) + bracket(a, d(b))
         assert d(a + b) == d(a) + d(b)
+
+
+def _assoc_derivation(images, p):
+    """The derivation of the tensor algebra with letter i -> images[i],
+    applied to p one letter position at a time."""
+    acc = {}
+    for w, c in p.terms.items():
+        for i, letter in enumerate(w):
+            for t, ct in images[letter].terms.items():
+                key = w[:i] + t + w[i + 1:]
+                acc[key] = acc.get(key, 0) + c * ct
+    return AssocPoly(XY, acc)
+
+
+def test_apply_matches_tensor_route():
+    # Leibniz images built on raw dicts against the associative
+    # derivation on the tensor expansion, with rational coefficients
+    rng = random.Random(408)
+    for degree in (1, 2, 3, 4):
+        for _ in range(3):
+            scale = Fraction(rng.randint(1, 7), rng.randint(1, 5))
+            d = Derivation(random_homogeneous(XY, degree + 1, rng),
+                           random_homogeneous(XY, degree + 1, rng).scale(
+                               scale), degree=degree)
+            a = random_element(XY, 7, rng, rational=True)
+            images = (expand_assoc(d.image_x), expand_assoc(d.image_y))
+            assert expand_assoc(d(a)) == _assoc_derivation(
+                images, expand_assoc(a))
 
 
 def test_generator_images_define_derivation():

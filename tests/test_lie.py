@@ -8,6 +8,7 @@ import pytest
 from grtlab import (
     AlphabetMismatchError,
     AssocPoly,
+    GradedAlphabet,
     InhomogeneousError,
     LieElement,
     NotALiePolynomialError,
@@ -66,6 +67,20 @@ def test_bracket_matches_tensor_commutator():
         b = random_element(alphabet, 4, rng)
         ta, tb = expand_assoc(a), expand_assoc(b)
         assert expand_assoc(bracket(a, b)) == ta * tb - tb * ta
+
+
+def test_truncated_bracket_matches_truncation():
+    # the degree-grouped truncated bracket against the full one, on
+    # inhomogeneous rational operands, equal and weighted letter degrees
+    rng = random.Random(111)
+    weighted = GradedAlphabet("a:2 b:3")
+    for alphabet, top in ((XY, 6), (weighted, 12)):
+        for _ in range(12):
+            a = random_element(alphabet, top, rng, rational=True)
+            b = random_element(alphabet, top, rng, rational=True)
+            full = bracket(a, b)
+            for k in range(0, 2 * top + 2):
+                assert bracket(a, b, max_degree=k) == full.truncate(k)
 
 
 def test_project_lyndon_roundtrip():

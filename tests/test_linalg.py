@@ -18,7 +18,9 @@ from grtlab import (
     reduced_echelon,
     smith_normal_form,
 )
-from grtlab.linalg import FullRankSolver
+from grtlab import ihara
+from grtlab.linalg import (FullRankSolver, _echelon_int, _primitive_int_row,
+                           _sign_normalize)
 
 from conftest import random_int_matrix
 
@@ -63,6 +65,62 @@ def test_kernel_basis_is_canonical():
         for v in basis:
             nz = [x for x in v if x]
             assert nz and nz[0] > 0
+
+
+def _kernel_by_fractions(m):
+    """Kernel read off the echelon form by Fraction back-substitution,
+    the reference route for the fraction-free read-off."""
+    ncols = len(m[0])
+    ech, pivots = _echelon_int(m)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        x = [0] * ncols
+        x[f] = Fraction(1)
+        for i in reversed(range(len(ech))):
+            p = pivots[i]
+            s = sum(ech[i][j] * x[j] for j in range(p + 1, ncols) if x[j])
+            x[p] = -Fraction(s, ech[i][p])
+        basis.append(_sign_normalize(_primitive_int_row(x)))
+    return basis
+
+
+def _rank_deficient(rng, rows, cols, rank):
+    """A random rows x cols integer matrix of rank at most ``rank``, with
+    a column zeroed now and then."""
+    left = random_int_matrix(rng, rows, rank, bound=4)
+    right = random_int_matrix(rng, rank, cols, bound=4)
+    m = [[sum(row[k] * right[k][j] for k in range(rank))
+          for j in range(cols)] for row in left]
+    for j in range(cols):
+        if rng.random() < 0.2:
+            for row in m:
+                row[j] = 0
+    return m
+
+
+def test_kernel_read_off_matches_fraction_route():
+    rng = random.Random(308)
+    for _ in range(60):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 9)
+        m = _rank_deficient(rng, rows, cols, rng.randint(0, min(rows, cols)))
+        assert kernel_basis(m) == _kernel_by_fractions(m)
+    for cols in range(1, 6):
+        m = [[rng.randint(-5, 5) for _ in range(cols)]]
+        assert kernel_basis(m) == _kernel_by_fractions(m)
+        assert kernel_basis([[0] * cols]) == _kernel_by_fractions(
+            [[0] * cols])
+    for n in range(2, 10):
+        m = ihara._special_pair_matrix(n)
+        assert kernel_basis(m) == _kernel_by_fractions(m)
+
+
+def test_kernel_read_off_leaves_cached_echelon_alone():
+    for n in (7, 9, 10):
+        _, ech, _ = ihara._hex_cut(n)
+        before = [list(row) for row in ech]
+        ihara._stable_pairs.cache_clear()
+        ihara._stable_pairs(n)
+        assert ech == before
 
 
 def test_full_rank_solver_roundtrip():
@@ -182,6 +240,21 @@ def test_rank_mod_agrees_generically():
         for p in PRIMES:
             if all(d % p for d in inv):
                 assert rank_mod(m, p) == rank(m)
+
+
+def test_rank_mod_integer_and_fraction_entries_agree():
+    # integer entries reduce with x % p, fractions through the inverse
+    # of the denominator; the same matrix must give the same rank
+    rng = random.Random(309)
+    for _ in range(20):
+        m = _rank_deficient(rng, rng.randint(1, 6), rng.randint(1, 7),
+                            rng.randint(0, 4))
+        fr = [[Fraction(x) for x in row] for row in m]
+        for p in PRIMES + [2, 3]:
+            assert rank_mod(m, p) == rank_mod(fr, p)
+        assert rank_mod(m, 997) == rank(m)
+    with pytest.raises(ZeroDivisionError):
+        rank_mod([[Fraction(1, 23)]], 23)
 
 
 def test_rat_matrix_json_roundtrip():
