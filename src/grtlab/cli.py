@@ -278,108 +278,123 @@ def _cmd_malcev_filtration(args):
 # parser wiring
 # ---------------------------------------------------------------------
 
-def _build_parser() -> _Parser:
-    top = _Parser(prog="grt", description=__doc__)
-    groups = top.add_subparsers(dest="group", required=True)
+def _verb(verbs, name, handler, **kwargs):
+    p = verbs.add_parser(name, **kwargs)
+    p.set_defaults(handler=handler)
+    p.add_argument("--json", action="store_true",
+                   help="emit a JSON document instead of a table")
+    return p
 
-    def sub(group, name, handler, **kwargs):
-        p = group.add_parser(name, **kwargs)
-        p.set_defaults(handler=handler)
-        p.add_argument("--json", action="store_true",
-                       help="emit a JSON document instead of a table")
-        return p
 
-    lie = groups.add_parser("lie").add_subparsers(dest="verb", required=True)
-    p = sub(lie, "dim", _cmd_lie_dim, help="graded dimension counts")
+def _lie_verbs(lie) -> None:
+    p = _verb(lie, "dim", _cmd_lie_dim, help="graded dimension counts")
     p.add_argument("--letters", type=int, default=2)
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--generator-degrees",
                    help="comma list; switches to weighted dimensions")
-    p = sub(lie, "lyndon", _cmd_lie_lyndon, help="list basis words")
+    p = _verb(lie, "lyndon", _cmd_lie_lyndon, help="list basis words")
     p.add_argument("--alphabet", default="x y")
     p.add_argument("--degree", type=int, required=True)
-    p = sub(lie, "bracket", _cmd_lie_bracket, help="bracket two expressions")
+    p = _verb(lie, "bracket", _cmd_lie_bracket, help="bracket two expressions")
     p.add_argument("--alphabet", default="x y")
     p.add_argument("--max-degree", type=int, default=None)
     p.add_argument("left")
     p.add_argument("right")
-    p = sub(lie, "parse", _cmd_lie_parse, help="canonicalize an expression")
+    p = _verb(lie, "parse", _cmd_lie_parse, help="canonicalize an expression")
     p.add_argument("--alphabet", default="x y")
     p.add_argument("expression")
-    p = sub(lie, "expand", _cmd_lie_expand,
-            help="expand into the tensor algebra")
+    p = _verb(lie, "expand", _cmd_lie_expand,
+              help="expand into the tensor algebra")
     p.add_argument("--alphabet", default="x y")
     p.add_argument("expression")
 
-    der = groups.add_parser("der").add_subparsers(dest="verb", required=True)
-    p = sub(der, "outdim", _cmd_der_outdim,
-            help="outer derivation dimension")
+
+def _der_verbs(der) -> None:
+    p = _verb(der, "outdim", _cmd_der_outdim,
+              help="outer derivation dimension")
     p.add_argument("--degree", type=int, required=True)
-    p = sub(der, "apply", _cmd_der_apply,
-            help="apply the derivation with the given generator images")
+    p = _verb(der, "apply", _cmd_der_apply,
+              help="apply the derivation with the given generator images")
     p.add_argument("--image-x", required=True)
     p.add_argument("--image-y", required=True)
     p.add_argument("target")
 
-    ih = groups.add_parser("ihara").add_subparsers(dest="verb", required=True)
-    p = sub(ih, "basis", _cmd_ihara_basis, help="stable space basis")
+
+def _ihara_verbs(ih) -> None:
+    p = _verb(ih, "basis", _cmd_ihara_basis, help="stable space basis")
     p.add_argument("--degree", type=int, required=True)
-    p = sub(ih, "soule", _cmd_ihara_soule, help="normalized generator")
+    p = _verb(ih, "soule", _cmd_ihara_soule, help="normalized generator")
     p.add_argument("--degree", type=int, required=True)
-    p = sub(ih, "bracket", _cmd_ihara_bracket,
-            help="bracket of two normalized generators")
+    p = _verb(ih, "bracket", _cmd_ihara_bracket,
+              help="bracket of two normalized generators")
     p.add_argument("--left", type=int, required=True)
     p.add_argument("--right", type=int, required=True)
-    p = sub(ih, "congruence", _cmd_ihara_congruence,
-            help="divisibility report for the degree-12 combination")
+    p = _verb(ih, "congruence", _cmd_ihara_congruence,
+              help="divisibility report for the degree-12 combination")
     p.add_argument("--modulus", type=int, default=691)
-    p = sub(ih, "freeness", _cmd_ihara_freeness,
-            help="stable dims vs free-model dims")
+    p = _verb(ih, "freeness", _cmd_ihara_freeness,
+              help="stable dims vs free-model dims")
     p.add_argument("--max-degree", type=int,
                    default=ihara.DEFAULT_MAX_DEGREE)
 
-    mo = groups.add_parser("motivic").add_subparsers(dest="verb",
-                                                     required=True)
+
+def _motivic_verbs(mo) -> None:
     for name, handler, extra in (
             ("dn", _cmd_motivic_dn, (("--n", True),)),
             ("ext", _cmd_motivic_ext, (("--i", True), ("--n", True))),
             ("kdims", _cmd_motivic_kdims, (("--max-degree", True),))):
-        p = sub(mo, name, handler)
+        p = _verb(mo, name, handler)
         p.add_argument("--r1", type=int, required=True)
         p.add_argument("--r2", type=int, required=True)
         p.add_argument("--s", type=int, required=True)
         for flag, req in extra:
             p.add_argument(flag, type=int, required=req)
-    p = sub(mo, "image", _cmd_motivic_image,
-            help="free-model dimension table")
+    p = _verb(mo, "image", _cmd_motivic_image,
+              help="free-model dimension table")
     p.add_argument("--max-degree", type=int, required=True)
 
-    ma = groups.add_parser("malcev").add_subparsers(dest="verb",
-                                                    required=True)
-    p = sub(ma, "bch", _cmd_malcev_bch, help="truncated group product")
+
+def _malcev_verbs(ma) -> None:
+    p = _verb(ma, "bch", _cmd_malcev_bch, help="truncated group product")
     p.add_argument("--class", dest="cls", type=int, required=True)
     p.add_argument("--alphabet", default="x y")
     p.add_argument("left")
     p.add_argument("right")
-    p = sub(ma, "word", _cmd_malcev_word,
-            help="group word to logarithm coordinates")
+    p = _verb(ma, "word", _cmd_malcev_word,
+              help="group word to logarithm coordinates")
     p.add_argument("--class", dest="cls", type=int, required=True)
     p.add_argument("--alphabet", default="x y")
     p.add_argument("word")
-    p = sub(ma, "filtration", _cmd_malcev_filtration,
-            help="lower central series lattice report")
+    p = _verb(ma, "filtration", _cmd_malcev_filtration,
+              help="lower central series lattice report")
     p.add_argument("--family", required=True)
     p.add_argument("--params", default="")
     p.add_argument("--max-m", type=int, default=None)
     p.add_argument("--class", dest="cls", type=int, default=2)
     p.add_argument("--alphabet", default="x y")
     p.add_argument("--generator", action="append", default=[])
+
+
+_GROUPS = {"lie": _lie_verbs, "der": _der_verbs, "ihara": _ihara_verbs,
+           "motivic": _motivic_verbs, "malcev": _malcev_verbs}
+
+
+def _build_parser(argv: list[str]) -> _Parser:
+    """The parser for ``argv``, with the verbs of the group it names only
+    (of every group when it names none): the others are never read."""
+    top = _Parser(prog="grt", description=__doc__)
+    groups = top.add_subparsers(dest="group", required=True)
+    named = next((a for a in argv if not a.startswith("-")), None)
+    for name, wire in _GROUPS.items():
+        group = groups.add_parser(name)
+        if named == name or named not in _GROUPS:
+            wire(group.add_subparsers(dest="verb", required=True))
     return top
 
 
 def run(argv: list[str]) -> CommandResult:
     """Dispatch one invocation; never raises on expected error classes."""
-    parser = _build_parser()
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
         payload, rendering = args.handler(args)

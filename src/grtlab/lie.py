@@ -234,22 +234,35 @@ def bracket(a: LieElement, b: LieElement,
         raise AlphabetMismatchError("bracket operands over different alphabets")
     if max_degree is None:
         return LieElement(a.alphabet, _bracket_into({}, a.terms, b.terms))
-    ga, gb = (_by_degree(e) for e in (a, b))
-    acc: dict[Word, object] = {}
-    for da, ta in ga.items():
-        for db, tb in gb.items():
-            if da + db <= max_degree:
-                _bracket_into(acc, ta, tb)
-    return LieElement(a.alphabet, acc)
+    return LieElement(a.alphabet, _bracket_graded(
+        {}, _by_degree(a), _by_degree(b), max_degree))
+
+
+def _bracket_graded(acc: dict, g1: Mapping, g2: Mapping, bound) -> dict:
+    """acc += the part of [a, b] of grade at most ``bound``, for an
+    additive grading of words, given a and b split by grade as ``g1`` and
+    ``g2`` (grade -> raw dict, as from :func:`_split_by`); returns acc.
+    Pairs of groups whose grades add up to more than ``bound`` are never
+    bracketed."""
+    for d1, t1 in g1.items():
+        for d2, t2 in g2.items():
+            if d1 + d2 <= bound:
+                _bracket_into(acc, t1, t2)
+    return acc
+
+
+def _split_by(terms: Mapping, grade: Callable[[Word], int]
+              ) -> dict[int, dict]:
+    """The terms of a raw dict split by ``grade`` of their words."""
+    split: dict[int, dict] = {}
+    for w, c in terms.items():
+        split.setdefault(grade(w), {})[w] = c
+    return split
 
 
 def _by_degree(e: LieElement) -> dict[int, dict]:
     """The terms of e split by degree, as raw dicts."""
-    deg = e.alphabet.word_degree
-    split: dict[int, dict] = {}
-    for w, c in e.terms.items():
-        split.setdefault(deg(w), {})[w] = c
-    return split
+    return _split_by(e.terms, e.alphabet.word_degree)
 
 
 def substitute(f: LieElement, images: Iterable[LieElement],
@@ -278,23 +291,29 @@ def substitute(f: LieElement, images: Iterable[LieElement],
 def _word_images(imgs: tuple[LieElement, ...], max_degree: int | None = None
                  ) -> Callable[[Word], LieElement]:
     """The map w -> sigma(w) evaluated at letter i -> imgs[i], memoized
-    along standard factorizations for as long as the caller keeps it."""
-    cache: dict[Word, LieElement] = {}
+    along standard factorizations for as long as the caller keeps it.
+    Under ``max_degree`` each image is kept with its terms split by
+    degree, so a truncated bracket of two images splits neither again."""
+    cache: dict[Word, tuple[LieElement, dict | None]] = {}
 
-    def on_word(w: Word) -> LieElement:
+    def image(w: Word) -> tuple[LieElement, dict | None]:
         got = cache.get(w)
         if got is None:
             if len(w) == 1:
-                got = imgs[w[0]]
+                img = imgs[w[0]]
                 if max_degree is not None:
-                    got = got.truncate(max_degree)
+                    img = img.truncate(max_degree)
             else:
                 u, v = _std_factorization(w)
-                got = bracket(on_word(u), on_word(v), max_degree)
-            cache[w] = got
+                (iu, su), (iv, sv) = image(u), image(v)
+                img = (bracket(iu, iv) if max_degree is None else
+                       LieElement(iu.alphabet,
+                                  _bracket_graded({}, su, sv, max_degree)))
+            got = cache[w] = (img, None if max_degree is None
+                              else _by_degree(img))
         return got
 
-    return on_word
+    return lambda w: image(w)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -31,9 +31,10 @@ from grtlab import (
     stable_derivation,
 )
 from grtlab import ihara
+from grtlab.cli import run
 from grtlab.derivations import X, XY, Y
-from grtlab.ihara import (_eval_word, _hex_pairs, _pentagon_rows,
-                          _symmetry_images)
+from grtlab.ihara import (_A1_CAP, _eval_word, _hex_pairs, _pentagon_rows,
+                          _symmetry_images, five_cycle_route)
 from grtlab.lie import _merge_scaled, from_coordinates
 from grtlab.words import _lyndon_tuples
 
@@ -55,6 +56,79 @@ def test_stable_dims_through_10():
 def test_stable_dims_11_12():
     assert special_dim(11) == 2
     assert special_dim(12) == 2
+
+
+@pytest.mark.slow
+def test_stable_dim_13():
+    assert special_dim(13) == 3
+    assert five_cycle_route(13) == "bounds"
+
+
+def _cold_bases(degrees):
+    """Canonical bases and the route that decided each degree, built from
+    cold caches."""
+    ihara.clear_caches()
+    return {n: (special_basis(n), five_cycle_route(n)) for n in degrees}
+
+
+def _check_quotient_route_against_full(monkeypatch, degrees):
+    try:
+        quotient = _cold_bases(degrees)
+        # A bound of -1 is never met, so every degree is cut over the
+        # full fiber, without the brackets of the lower degrees.
+        monkeypatch.setattr(ihara, "_lower_bound", lambda n, *_: -1)
+        full = _cold_bases(degrees)
+        assert None in {cap for c in ihara._EVAL_CACHE for cap, _ in c}
+    finally:
+        ihara.clear_caches()
+    assert {r for _, r in quotient.values()} == {"bounds"}
+    assert {r for _, r in full.values()} == {"full"}
+    assert ({n: b for n, (b, _) in quotient.items()}
+            == {n: b for n, (b, _) in full.items()})
+
+
+def test_quotient_route_matches_full_route(monkeypatch):
+    _check_quotient_route_against_full(monkeypatch, range(2, 11))
+
+
+@pytest.mark.slow
+def test_quotient_route_matches_full_route_11_12(monkeypatch):
+    _check_quotient_route_against_full(monkeypatch, (11, 12))
+
+
+def test_short_bound_falls_back_to_full_route(monkeypatch):
+    lower = ihara._lower_bound
+    try:
+        want = _cold_bases(range(2, 10))
+        monkeypatch.setattr(ihara, "_lower_bound", lambda n, *args:
+                            lower(n, *args) - (n == 9))
+        got = _cold_bases(range(2, 10))
+    finally:
+        ihara.clear_caches()
+    assert got[9] == (want[9][0], "full")
+    assert got == {**want, 9: got[9]}
+
+
+def test_bracket_outside_cut_is_a_bug(monkeypatch):
+    # D_10 is spanned by <s3, s7>; a hex element outside it in its place
+    # must fail the exactness guard as a bug, not as a precondition.
+    (f,) = special_basis(10)
+    rows = [[int(c) for c in f.coordinates(10)]]
+    outside = next(h for h, _ in _hex_pairs(10)
+                   if not in_row_space(rows, h.coordinates(10)))
+    bracket_of = ihara.ihara_bracket
+    monkeypatch.setattr(ihara, "ihara_bracket", lambda f, g, **kw: (
+        outside if f.homogeneous_degree() + g.homogeneous_degree() == 10
+        else bracket_of(f, g, **kw)))
+    try:
+        ihara.clear_caches()
+        with pytest.raises(AssertionError, match="outside the 5-cycle cut"):
+            special_dim(10)
+        ihara.clear_caches()
+        with pytest.raises(AssertionError):
+            run(["ihara", "basis", "--degree", "10"])
+    finally:
+        ihara.clear_caches()
 
 
 def test_modular_dims_match_rational():
@@ -80,7 +154,7 @@ def test_preconditions_raise_precondition_error():
         assert isinstance(info.value, ValueError)
 
 
-def _pentagon_by_word(elements):
+def _pentagon_by_word(elements, cap):
     """Reference route for _pentagon_rows: the fiber part of the sum over
     all five pairs for each word on its own, then merged into one column
     per element."""
@@ -88,7 +162,7 @@ def _pentagon_by_word(elements):
     for w in {w for f in elements for w in f}:
         row = {}
         for p in range(5):
-            _merge_scaled(row, _eval_word(p, w)[0], 1)
+            _merge_scaled(row, _eval_word(p, w, cap)[0], 1)
         rows[w] = row
     cols = []
     for f in elements:
@@ -100,12 +174,27 @@ def _pentagon_by_word(elements):
 
 
 def test_pentagon_rows_match_per_word_route():
-    for n in range(3, 11):
-        hexes = [f.terms for f, _ in _hex_pairs(n)]
-        assert _pentagon_rows(n, hexes) == _pentagon_by_word(hexes)
-    for n in range(2, 9):
-        words = [{w: 1} for w in _lyndon_tuples((1, 1), n)]
-        assert _pentagon_rows(n, words) == _pentagon_by_word(words)
+    for cap in (None, _A1_CAP):
+        for n in range(3, 11):
+            hexes = [f.terms for f, _ in _hex_pairs(n)]
+            assert (_pentagon_rows(n, hexes, cap)
+                    == _pentagon_by_word(hexes, cap))
+        for n in range(2, 9):
+            words = [{w: 1} for w in _lyndon_tuples((1, 1), n)]
+            assert (_pentagon_rows(n, words, cap)
+                    == _pentagon_by_word(words, cap))
+
+
+def test_quotient_evaluation_is_the_pruned_full_one():
+    # The words of a1-degree >= 2 span an ideal stable under the action,
+    # so pruning at every step equals pruning the full 5-cycle sum once.
+    for n in range(2, 10):
+        for elements in ([f.terms for f, _ in _hex_pairs(n)],
+                         [{w: 1} for w in _lyndon_tuples((1, 1), n)]):
+            full = _pentagon_rows(n, elements, None)
+            assert _pentagon_rows(n, elements, _A1_CAP) == [
+                {v: c for v, c in col.items() if v.count(0) <= _A1_CAP}
+                for col in full]
 
 
 def test_pentagon_base_part_is_two_cycle_defect():
@@ -116,7 +205,7 @@ def test_pentagon_base_part_is_two_cycle_defect():
         for w in _lyndon_tuples((1, 1), n):
             base = {}
             for p in range(5):
-                _merge_scaled(base, _eval_word(p, w)[1], 1)
+                _merge_scaled(base, _eval_word(p, w, None)[1], 1)
             assert base == images[w][0], w
 
 
@@ -326,14 +415,21 @@ def test_freeness_table_through_12():
 
 def test_clear_caches_rebuilds_identical_bases():
     before = {n: special_basis(n) for n in range(2, 10)}
+    # fill the full-fiber caches too, next to the quotient ones
+    _pentagon_rows(8, [f.terms for f, _ in _hex_pairs(8)], None)
+    assert {k[0] for k in ihara._ACT_ON_WORD} == {None, _A1_CAP}
     ihara.clear_caches()
     assert not any(ihara._EVAL_CACHE) and not ihara._ACT_ON_WORD
-    assert sorted(ihara._ACT_IM) == [(0,), (1,)]
+    assert not ihara._ACT_IM
     # every per-degree cache of the module, so that a new one is not missed
     per_degree = [f for f in vars(ihara).values() if hasattr(f, "cache_info")
                   and f.__module__ == ihara.__name__]
     assert len(per_degree) == 6
     assert all(f.cache_info().currsize == 0 for f in per_degree)
     assert {n: special_basis(n) for n in range(2, 10)} == before
-    # only the factors of degree-9 words were evaluated, not the words
-    assert max(len(w) for c in ihara._EVAL_CACHE for w in c) == 8
+    # the bounds decided every degree, so only the quotient was evaluated,
+    # and only on the factors of degree-9 words, not on the words
+    keys = [k for c in (*ihara._EVAL_CACHE, ihara._ACT_IM) for k in c]
+    assert {cap for cap, _ in keys} == {_A1_CAP}
+    assert {k[0] for k in ihara._ACT_ON_WORD} == {_A1_CAP}
+    assert max(len(w) for c in ihara._EVAL_CACHE for _, w in c) == 8

@@ -116,7 +116,7 @@ def test_kernel_read_off_matches_fraction_route():
 
 def test_kernel_read_off_leaves_cached_echelon_alone():
     for n in (7, 9, 10):
-        _, ech, _ = ihara._hex_cut(n)
+        _, ech, _, _ = ihara._hex_cut(n)
         before = [list(row) for row in ech]
         ihara._stable_pairs.cache_clear()
         ihara._stable_pairs(n)
