@@ -40,8 +40,8 @@ from .errors import (DegenerateLeadingTermError, NotOneDimensionalError,
 from .lie import (LieElement, _bracket_graded, _bracket_into, _merge_scaled,
                   _split_by, _word_images, bracket, from_coordinates,
                   lie_to_string)
-from .linalg import (FullRankSolver, _echelon_int, _kernel_of_echelon,
-                     kernel_basis, kernel_dim_mod, reduced_echelon)
+from .linalg import (FullRankSolver, _echelon, _kernel_of_echelon,
+                     kernel_basis, kernel_dim_mod, rank, reduced_echelon)
 from .motivic import image_model_dims
 from .words import _lyndon_tuples, _std_factorization
 
@@ -49,14 +49,14 @@ Z = LieElement(XY, {(0,): -1, (1,): -1})
 
 #: Default cap on the degree of stable-space computations offered by the
 #: command line.  On a 2-core VM (Python 3.11) a build from cold caches
-#: takes about 0.5 s through degree 10, 1.5 s more for degree 11 and 5 s
-#: more for degree 12, at a peak RSS near 70 MiB.
+#: takes about 0.25 s through degree 10, 0.9 s more for degree 11 and
+#: 2.5 s more for degree 12, at a peak RSS near 70 MiB.
 DEFAULT_MAX_DEGREE = 12
 #: Highest degree the command line accepts.  On the same VM degree 13 adds
-#: about 35 s (peak RSS near 200 MiB) and degree 14 about 165 s (near
-#: 590 MiB); degree 15 would add about 18 min (near 2 GB).  Each degree
-#: costs five to seven times the one before, about half in the dense
-#: special-pair kernel and half in the 5-cycle cut.
+#: about 23 s (peak RSS near 200 MiB) and degree 14 about 100 s (near
+#: 590 MiB).  Most of each is the 5-cycle evaluation in the quotient
+#: (16 s and 75 s); the sparse special-pair kernel takes 0.5 s and 1.5 s.
+#: Degree 15 spent 553 s in the quotient 5-cycle cut alone, near 2 GB.
 HARD_MAX_DEGREE = 14
 
 
@@ -226,12 +226,21 @@ def _pentagon_rows(n: int, elements: Sequence[Mapping], cap) -> list[dict]:
 
 
 def _five_cycle_echelon(n: int, hexes, cap) -> tuple:
-    """Echelon form (rows, pivots) of the matrix whose columns are the
-    5-cycle sums of the f-parts of ``hexes`` within the budget ``cap``,
-    one row per fiber word that occurs."""
-    cols = _pentagon_rows(n, [f.terms for f, _ in hexes], cap)
-    words = sorted({v for col in cols for v in col})
-    return _echelon_int([[col.get(v, 0) for col in cols] for v in words])
+    """Reduced echelon form (sparse rows, pivots) of the matrix whose
+    columns are the 5-cycle sums of the f-parts of ``hexes`` within the
+    budget ``cap``, one row per fiber word that occurs."""
+    rows: dict = {}
+    for j, col in enumerate(_pentagon_rows(n, [f.terms for f, _ in hexes],
+                                           cap)):
+        for v, c in col.items():
+            rows.setdefault(v, {})[j] = c
+    return _echelon(list(rows.values()), reduced=True)
+
+
+def _in_cut(ech, t) -> bool:
+    """Whether hex coordinates t satisfy the 5-cycle cut given by the
+    sparse echelon rows ``ech``."""
+    return not any(sum(e * t[j] for j, e in row.items()) for row in ech)
 
 
 # ---------------------------------------------------------------------
@@ -340,9 +349,10 @@ def _hex_cut(n: int) -> tuple:
 
     Returns (solver, ech, pivots, route).  ``solver`` finds the coordinates
     t of an f-part in the hex basis, f = sum t_j h_j with h_j the f-parts
-    of :func:`_hex_pairs`.  ``ech`` and ``pivots`` are the echelon form of
-    a matrix whose columns C_j are 5-cycle sums of the h_j, such that
-    sum t_j h_j lies in D_n exactly when ech t = 0.
+    of :func:`_hex_pairs`.  ``ech`` and ``pivots`` are the reduced echelon
+    form, sparse rows {j: entry}, of a matrix whose columns C_j are
+    5-cycle sums of the h_j, such that sum t_j h_j lies in D_n exactly
+    when ech t = 0.
 
     The cut is first made in the a1-degree <= 1 quotient of the fiber (see
     the notes above the 5-cycle code).  The quotient map sends the full
@@ -397,13 +407,12 @@ def _lower_bound(n: int, solver: FullRankSolver, ech) -> int:
             for g, _ in right[i + 1:] if 2 * a == n else right:
                 b = ihara_bracket(f, g, verify=False)
                 t = solver.solve(b.coordinates(n))
-                if (t is None or b.terms.get(depth1) or any(
-                        sum(e * tj for e, tj in zip(row, t)) for row in ech)):
+                if t is None or b.terms.get(depth1) or not _in_cut(ech, t):
                     raise AssertionError(
                         f"bracket of degrees {a} and {n - a} lies outside "
                         "the 5-cycle cut")
                 span.append(t)
-    return len(_echelon_int(span)[1]) + (1 if n % 2 and n >= 3 else 0)
+    return rank(span) + (1 if n % 2 and n >= 3 else 0)
 
 
 def five_cycle_route(n: int) -> str:
@@ -505,7 +514,7 @@ def is_stable(f: LieElement, check_five_cycle: bool = True) -> bool:
             raise AssertionError(
                 "element satisfying the special, 2-cycle and 3-cycle "
                 "conditions lies outside the hex span")
-        return not any(sum(e * tj for e, tj in zip(row, t)) for row in ech)
+        return _in_cut(ech, t)
     return True
 
 
@@ -617,15 +626,10 @@ def check_congruence(modulus: int = 691,
     element = LieElement.zero(XY)
     for c, m1, m2 in combination:
         element = element + ihara_bracket(gens[m1], gens[m2]).scale(c)
-    degree = element.homogeneous_degree()
-    coords = [int(c) for c in element.coordinates(degree)] if degree else []
-    g = 0
-    for c in coords:
-        g = math.gcd(g, c)
-    divisible = bool(coords) and g % modulus == 0
+    g, divisible = _coordinate_gcd(element, modulus)
     report = {
         "element": lie_to_string(element),
-        "degree": degree,
+        "degree": element.homogeneous_degree(),
         "modulus": modulus,
         "coordinate_gcd": g,
         "divisible": divisible,
@@ -634,6 +638,15 @@ def check_congruence(modulus: int = 691,
         report["discrepancy"] = _sign_discrepancy_report(
             gens, combination, modulus)
     return report
+
+
+def _coordinate_gcd(element: LieElement, modulus: int) -> tuple[int, bool]:
+    """The gcd of the coordinates of a homogeneous element (0 for zero),
+    and whether ``modulus`` divides it; zero counts as not divisible."""
+    degree = element.homogeneous_degree()
+    coords = [int(c) for c in element.coordinates(degree)] if degree else []
+    g = math.gcd(*coords)
+    return g, bool(coords) and g % modulus == 0
 
 
 def _sign_discrepancy_report(gens: dict[int, LieElement],
@@ -652,13 +665,9 @@ def _sign_discrepancy_report(gens: dict[int, LieElement],
             term = ihara_bracket(gens[m1].scale(signs[m1]),
                                  gens[m2].scale(signs[m2]), verify=False)
             element = element + term.scale(c)
-        degree = element.homogeneous_degree()
-        coords = [int(c) for c in element.coordinates(degree)] if degree else []
-        g = 0
-        for c in coords:
-            g = math.gcd(g, c)
+        g, divisible = _coordinate_gcd(element, modulus)
         results.append({"signs": signs, "coordinate_gcd": g,
-                        "divisible": bool(coords) and g % modulus == 0})
+                        "divisible": divisible})
     return {
         "generator_degrees": ms,
         "sign_table": results,
@@ -672,7 +681,7 @@ def freeness_table(max_degree: int = DEFAULT_MAX_DEGREE) -> list[dict]:
 
     Each row reports the computed stable dimension, the free-algebra
     prediction (:func:`grtlab.motivic.image_model_dims`), and whether
-    they agree.  Degree 11 adds about 1.5 s and degree 12 about 5 s; see
+    they agree.  Degree 11 adds about 0.9 s and degree 12 about 2.5 s; see
     DEFAULT_MAX_DEGREE.
     """
     if max_degree < 3:

@@ -37,13 +37,12 @@ def _merge_scaled(acc: dict, terms: Mapping, scale) -> None:
             acc.pop(key, None)
 
 
-class LieElement:
-    """A rational linear combination of Lyndon-basis elements.
-
-    ``terms`` maps Lyndon words (letter-index tuples) to nonzero
-    coefficients.  Coefficients are whatever exact ring the caller feeds
-    in; integers and :class:`fractions.Fraction` mix freely.
-    """
+class _SparseVector:
+    """A finite combination of words over a graded alphabet with exact
+    coefficients, ``terms`` mapping words (letter-index tuples) to nonzero
+    coefficients: the vector-space structure shared by
+    :class:`LieElement` and :class:`AssocPoly`.  Only elements of the
+    same class over the same alphabet combine or compare equal."""
 
     __slots__ = ("alphabet", "terms")
 
@@ -51,11 +50,64 @@ class LieElement:
         self.alphabet = alphabet
         self.terms: dict[Word, object] = {w: c for w, c in terms.items() if c}
 
-    # -- constructors ------------------------------------------------
+    @classmethod
+    def zero(cls, alphabet: GradedAlphabet):
+        return cls(alphabet, {})
 
-    @staticmethod
-    def zero(alphabet: GradedAlphabet) -> "LieElement":
-        return LieElement(alphabet, {})
+    def _check(self, other) -> None:
+        if self.alphabet != other.alphabet:
+            raise AlphabetMismatchError(
+                f"cannot combine elements over {self.alphabet!r} "
+                f"and {other.alphabet!r}")
+
+    def _merged(self, other, sign: int):
+        self._check(other)
+        acc = dict(self.terms)
+        _merge_scaled(acc, other.terms, sign)
+        return type(self)(self.alphabet, acc)
+
+    def __add__(self, other):
+        return self._merged(other, 1)
+
+    def __sub__(self, other):
+        return self._merged(other, -1)
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def scale(self, scalar):
+        return type(self)(self.alphabet,
+                          {w: scalar * c for w, c in self.terms.items()}
+                          if scalar else {})
+
+    __rmul__ = scale
+
+    def __eq__(self, other) -> bool:
+        return (type(other) is type(self)
+                and self.alphabet == other.alphabet
+                and self.terms == other.terms)
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def truncate(self, max_degree: int):
+        deg = self.alphabet.word_degree
+        return type(self)(self.alphabet,
+                          {w: c for w, c in self.terms.items()
+                           if deg(w) <= max_degree})
+
+
+class LieElement(_SparseVector):
+    """A rational linear combination of Lyndon-basis elements.
+
+    ``terms`` maps Lyndon words to nonzero coefficients.  Coefficients
+    are whatever exact ring the caller feeds in; integers and
+    :class:`fractions.Fraction` mix freely.  Hashable.
+    """
+
+    __slots__ = ()
+
+    # -- constructors ------------------------------------------------
 
     @staticmethod
     def generator(alphabet: GradedAlphabet, name: str) -> "LieElement":
@@ -64,46 +116,6 @@ class LieElement:
     @staticmethod
     def from_word(w: LyndonWord, coeff=1) -> "LieElement":
         return LieElement(w.alphabet, {w.letters: coeff})
-
-    # -- vector space structure --------------------------------------
-
-    def _check(self, other: "LieElement") -> None:
-        if self.alphabet != other.alphabet:
-            raise AlphabetMismatchError(
-                f"cannot combine elements over {self.alphabet!r} "
-                f"and {other.alphabet!r}")
-
-    def __add__(self, other: "LieElement") -> "LieElement":
-        self._check(other)
-        acc = dict(self.terms)
-        _merge_scaled(acc, other.terms, 1)
-        return LieElement(self.alphabet, acc)
-
-    def __sub__(self, other: "LieElement") -> "LieElement":
-        self._check(other)
-        acc = dict(self.terms)
-        _merge_scaled(acc, other.terms, -1)
-        return LieElement(self.alphabet, acc)
-
-    def __neg__(self) -> "LieElement":
-        return LieElement(self.alphabet,
-                          {w: -c for w, c in self.terms.items()})
-
-    def scale(self, scalar) -> "LieElement":
-        if not scalar:
-            return LieElement.zero(self.alphabet)
-        return LieElement(self.alphabet,
-                          {w: scalar * c for w, c in self.terms.items()})
-
-    __rmul__ = scale
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, LieElement)
-                and self.alphabet == other.alphabet
-                and self.terms == other.terms)
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
 
     def __hash__(self):
         return hash((self.alphabet, frozenset(self.terms.items())))
@@ -134,11 +146,6 @@ class LieElement:
     def max_degree(self) -> int:
         return max((self.alphabet.word_degree(w) for w in self.terms),
                    default=0)
-
-    def truncate(self, max_degree: int) -> "LieElement":
-        return LieElement(self.alphabet,
-                          {w: c for w, c in self.terms.items()
-                           if self.alphabet.word_degree(w) <= max_degree})
 
     # -- coordinates -------------------------------------------------
 
@@ -320,48 +327,12 @@ def _word_images(imgs: tuple[LieElement, ...], max_degree: int | None = None
 # tensor algebra: expansion and projection
 
 
-class AssocPoly:
+class AssocPoly(_SparseVector):
     """An element of the tensor algebra: words with exact coefficients,
     multiplied by concatenation.  Used as the independent oracle for the
-    bracket and for Lie-membership tests."""
+    bracket and for Lie-membership tests.  Unhashable."""
 
-    __slots__ = ("alphabet", "terms")
-
-    def __init__(self, alphabet: GradedAlphabet, terms: Mapping[Word, object]):
-        self.alphabet = alphabet
-        self.terms: dict[Word, object] = {w: c for w, c in terms.items() if c}
-
-    @staticmethod
-    def zero(alphabet: GradedAlphabet) -> "AssocPoly":
-        return AssocPoly(alphabet, {})
-
-    def _check(self, other: "AssocPoly") -> None:
-        if self.alphabet != other.alphabet:
-            raise AlphabetMismatchError(
-                "tensor operands over different alphabets")
-
-    def __add__(self, other: "AssocPoly") -> "AssocPoly":
-        self._check(other)
-        acc = dict(self.terms)
-        _merge_scaled(acc, other.terms, 1)
-        return AssocPoly(self.alphabet, acc)
-
-    def __sub__(self, other: "AssocPoly") -> "AssocPoly":
-        self._check(other)
-        acc = dict(self.terms)
-        _merge_scaled(acc, other.terms, -1)
-        return AssocPoly(self.alphabet, acc)
-
-    def __neg__(self) -> "AssocPoly":
-        return AssocPoly(self.alphabet, {w: -c for w, c in self.terms.items()})
-
-    def scale(self, scalar) -> "AssocPoly":
-        if not scalar:
-            return AssocPoly.zero(self.alphabet)
-        return AssocPoly(self.alphabet,
-                         {w: scalar * c for w, c in self.terms.items()})
-
-    __rmul__ = scale
+    __slots__ = ()
 
     def __mul__(self, other: "AssocPoly") -> "AssocPoly":
         self._check(other)
@@ -370,20 +341,6 @@ class AssocPoly:
             _merge_scaled(acc, {u + v: cv for v, cv in other.terms.items()},
                           cu)
         return AssocPoly(self.alphabet, acc)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, AssocPoly)
-                and self.alphabet == other.alphabet
-                and self.terms == other.terms)
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def truncate(self, max_degree: int) -> "AssocPoly":
-        deg = self.alphabet.word_degree
-        return AssocPoly(self.alphabet,
-                         {w: c for w, c in self.terms.items()
-                          if deg(w) <= max_degree})
 
     def __repr__(self) -> str:
         if not self.terms:

@@ -1,10 +1,14 @@
-"""Exact dense linear algebra over the rationals and the integers.
+"""Exact sparse linear algebra over the rationals and GF(p).
 
-Everything here works on lists of rows.  Elimination is fraction-free:
-rows are scaled to primitive integer vectors and updated by cross
-multiplication, so entries stay integral and modest.  Kernel vectors and
-echelon rows are normalized to primitive integral form with the first
-nonzero entry positive, which makes every routine's output canonical.
+Every rank, kernel, echelon form, residual and solve, over the rationals
+or mod a prime, runs through one eliminator, :func:`_echelon`, on sparse
+rows ``{column: int}`` that dense rows become once, on the way in.  Over
+the rationals it is fraction-free: each update keeps rows integral and
+divides out their content, so entries stay modest.  Pivot columns are
+taken in column order, and kernel vectors and echelon rows come out
+primitive integral with the first nonzero entry positive, which makes
+every routine's output canonical.  The Smith normal form is a separate
+algorithm on dense integer rows.
 
 A thin :class:`RatMatrix` container carries the JSON representation
 (entries as exact ``"p/q"`` strings); the algorithms accept either a
@@ -15,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -48,10 +53,10 @@ class RatMatrix:
         return m
 
 
-def _rows_of(m) -> list[list]:
-    if isinstance(m, RatMatrix):
-        return [list(r) for r in m.entries]
-    rows = [list(r) for r in m]
+def _dense_rows(m) -> list:
+    """The rows of m, a :class:`RatMatrix` or a list of rows; raises on
+    ragged rows.  The rows themselves are not copied."""
+    rows = m.entries if isinstance(m, RatMatrix) else list(m)
     if rows:
         cols = len(rows[0])
         if any(len(r) != cols for r in rows):
@@ -59,72 +64,141 @@ def _rows_of(m) -> list[list]:
     return rows
 
 
-def _reduce_content(ints: list[int]) -> list[int]:
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-        if g == 1:
-            return ints
-    if g > 1:
-        ints = [x // g for x in ints]
-    return ints
+def _sparse(row: Sequence, p: int | None = None) -> dict:
+    """A dense row as {column: entry}: over the rationals (``p`` None)
+    scaled to a primitive integral vector, sign kept; over GF(p) reduced
+    to residues."""
+    out = {j: x for j, x in enumerate(row) if x}
+    if p is None:
+        if any(type(x) is not int for x in out.values()):
+            fracs = {j: Fraction(x) for j, x in out.items()}
+            q = lcm(*(f.denominator for f in fracs.values()))
+            out = {j: f.numerator * (q // f.denominator)
+                   for j, f in fracs.items()}
+        return _primitive(out)
+    res = {}
+    for j, x in out.items():
+        if type(x) is not int:
+            f = Fraction(x)
+            if f.denominator % p == 0:
+                raise ZeroDivisionError(
+                    f"denominator divisible by {p} in modular reduction")
+            x = f.numerator * pow(f.denominator, -1, p)
+        if x % p:
+            res[j] = x % p
+    return res
 
 
-def _primitive_int_row(row: Sequence) -> list[int]:
-    """Scale a rational row to integers and divide out the content.
-    Sign is preserved."""
-    if all(type(x) is int for x in row):
-        return _reduce_content(list(row))
-    fracs = [x if isinstance(x, Fraction) else Fraction(x) for x in row]
-    mult = lcm(*(f.denominator for f in fracs)) if fracs else 1
-    return _reduce_content([int(f * mult) for f in fracs])
+def _rows_of(m, p: int | None = None) -> tuple[list[dict], int]:
+    """The nonzero rows of m made sparse (see :func:`_sparse`), and the
+    column count of m."""
+    rows = _dense_rows(m)
+    sparse = (_sparse(row, p) for row in rows)
+    return [r for r in sparse if r], len(rows[0]) if rows else 0
 
 
-def _sign_normalize(row: list[int]) -> list[int]:
-    for x in row:
+def _primitive(row: dict) -> dict:
+    """An integral sparse row divided by the gcd of its entries."""
+    g = gcd(*row.values())
+    return {j: x // g for j, x in row.items()} if g > 1 else row
+
+
+def _canonical(row: dict, ncols: int) -> list[int]:
+    """A primitive sparse row as a dense list with its first nonzero entry
+    positive."""
+    s = -1 if row and row[min(row)] < 0 else 1
+    out = [0] * ncols
+    for j, x in row.items():
+        out[j] = s * x
+    return out
+
+
+def _update(target: dict, piv: dict, c: int, p: int | None) -> dict:
+    """The one row-update step, target -= (target[c] / piv[c]) * piv,
+    which clears column c of target.  Over GF(p) the pivot row is monic.
+    Over the rationals target is first multiplied by piv[c] / g, with g
+    = gcd(piv[c], target[c]) signed like piv[c], so the step stays
+    integral; the result is divided by its content.  ``target`` is
+    updated in place unless it had to be rescaled; use the result."""
+    a, b = piv[c], target[c]
+    if p is None:
+        g = gcd(a, b) if a > 0 else -gcd(a, b)
+        a, b = a // g, b // g
+        if a != 1:
+            target = {j: a * x for j, x in target.items()}
+    get = target.get
+    for j, y in piv.items():
+        x = get(j, 0) - b * y
+        if p is not None:
+            x %= p
         if x:
-            return row if x > 0 else [-y for y in row]
-    return row
+            target[j] = x
+        elif j in target:
+            del target[j]
+    return target if p is not None else _primitive(target)
 
 
-def _echelon_int(rows: list[list]) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free row echelon form.  Returns the nonzero echelon rows
-    (primitive integral) and the list of pivot columns."""
-    work = [_primitive_int_row(r) for r in rows]
-    work = [r for r in work if any(r)]
-    if not work:
-        return [], []
-    ncols = len(work[0])
+def _reduce(v: dict, ech: Sequence[dict], pivots: Sequence[int],
+            p: int | None = None) -> dict:
+    """The residual of v against echelon rows with the given pivot
+    columns, ascending: zero iff v lies in their row space.  ``v`` is
+    consumed."""
+    for row, c in zip(ech, pivots):
+        if c in v:
+            v = _update(v, row, c, p)
+    return v
+
+
+def _echelon(rows: list[dict], p: int | None = None,
+             reduced: bool = False) -> tuple[list[dict], list[int]]:
+    """The eliminator: echelon rows of the nonzero sparse ``rows`` and
+    their pivot columns, ascending.
+
+    Over the rationals (``p`` None) the rows are integral; over GF(p),
+    for a prime p, they are residues.  They are consumed.  Pivot columns
+    are taken in column order; among the rows leading in a column, the
+    pivot row has the smallest |entry| there, then the fewest nonzeros.
+    Over GF(p) it is made monic.  The other rows leading in that column
+    are updated and move on to their new leading column.  With
+    ``reduced``, back elimination from the last row up clears every pivot
+    column outside its pivot row: the reduced echelon form, up to the
+    scale of each row.
+    """
+    by_lead: dict[int, list[dict]] = {}
+    for r in rows:
+        by_lead.setdefault(min(r), []).append(r)
+    heap = list(by_lead)
+    heapify(heap)
+    ech: list[dict] = []
     pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        best = None
-        for i in range(r, len(work)):
-            v = work[i][col]
-            if v and (best is None or abs(v) < abs(work[best][col])):
-                best = i
-        if best is None:
-            continue
-        work[r], work[best] = work[best], work[r]
-        a = work[r][col]
-        for i in range(r + 1, len(work)):
-            b = work[i][col]
-            if b:
-                g = gcd(a, b)
-                fa, fb = a // g, b // g
-                work[i] = _reduce_content(
-                    [fa * x - fb * y for x, y in zip(work[i], work[r])])
-        work = work[:r + 1] + [row for row in work[r + 1:] if any(row)]
-        pivots.append(col)
-        r += 1
-        if r == len(work):
-            break
-    return [work[i] for i in range(r)], pivots
+    while heap:
+        c = heappop(heap)
+        bucket = by_lead.pop(c)
+        piv = bucket.pop(min(range(len(bucket)),
+                             key=lambda i: (abs(bucket[i][c]),
+                                            len(bucket[i]))))
+        if p is not None and piv[c] != 1:
+            inv = pow(piv[c], -1, p)
+            piv = {j: x * inv % p for j, x in piv.items()}
+        ech.append(piv)
+        pivots.append(c)
+        for r in bucket:
+            r = _update(r, piv, c, p)
+            if r:
+                lead = min(r)
+                if lead not in by_lead:
+                    by_lead[lead] = []
+                    heappush(heap, lead)
+                by_lead[lead].append(r)
+    if reduced:
+        for i in reversed(range(len(ech))):
+            ech[i] = _reduce(ech[i], ech[i + 1:], pivots[i + 1:], p)
+    return ech, pivots
 
 
 def rank(m) -> int:
     """Rank over the rationals."""
-    return len(_echelon_int(_rows_of(m))[0])
+    return len(_echelon(_rows_of(m)[0])[1])
 
 
 def kernel_basis(m) -> list[list[int]]:
@@ -133,120 +207,84 @@ def kernel_basis(m) -> list[list[int]]:
     nonzero entry positive; over the rationals this basis is canonical
     (it is the standard kernel basis of the reduced echelon form).
     """
-    rows = _rows_of(m)
-    if not rows:
-        return []
-    return _kernel_of_echelon(*_echelon_int(rows), len(rows[0]))
+    rows, ncols = _rows_of(m)
+    return _kernel_of_echelon(*_echelon(rows, reduced=True), ncols)
 
 
-def _kernel_of_echelon(ech: list[list[int]], pivots: list[int],
+def _kernel_of_echelon(red: list[dict], pivots: list[int],
                        ncols: int) -> list[list[int]]:
     """:func:`kernel_basis` of a matrix with ``ncols`` columns, read off
-    its echelon form (output of :func:`_echelon_int`, left unchanged).
-    Fraction-free: on the reduced form of a copy, free column f gets x_f
-    the lcm of the pivots e_ip of the rows i meeting column f, and
+    its reduced echelon form (from :func:`_echelon` with ``reduced``),
+    which is left unchanged.  Fraction-free: free column f gets x_f the
+    lcm of the pivot entries e_ip of the rows i meeting column f, and
     x_p = -e_if * (x_f / e_ip) on each such row."""
-    red = [list(row) for row in ech]
-    _clear_above_pivots(red, pivots)
+    meets: dict[int, list] = {}
+    for row, p in zip(red, pivots):
+        for f, e in row.items():
+            if f != p:
+                meets.setdefault(f, []).append((e, row[p], p))
     pivot_set = set(pivots)
     basis: list[list[int]] = []
     for f in (c for c in range(ncols) if c not in pivot_set):
-        rows = [(row[f], row[p], p) for row, p in zip(red, pivots) if row[f]]
-        xf = lcm(*(e for _, e, _ in rows))
-        x = [0] * ncols
-        x[f] = xf
+        rows = meets.get(f, [])
+        xf = lcm(*(ep for _, ep, _ in rows))
+        x = {f: xf}
         for ef, ep, p in rows:
             x[p] = -ef * (xf // ep)
-        basis.append(_sign_normalize(_reduce_content(x)))
+        basis.append(_canonical(_primitive(x), ncols))
     return basis
 
 
 def kernel_dim(m) -> int:
-    rows = _rows_of(m)
-    if not rows:
-        return 0
-    return len(rows[0]) - rank(rows)
-
-
-def residual_against(ech: list[list[int]], pivots: list[int],
-                     vec: Sequence) -> list[int]:
-    """Reduce ``vec`` against an echelon basis (output of
-    :func:`_echelon_int`); the result is zero iff ``vec`` lies in the row
-    space.  Returned primitive integral."""
-    v = _primitive_int_row(vec)
-    for row, p in zip(ech, pivots):
-        if v[p]:
-            a, b = row[p], v[p]
-            g = gcd(a, b)
-            fa, fb = a // g, b // g
-            v = [fa * x - fb * y for x, y in zip(v, row)]
-            v = _primitive_int_row(v)
-    return v
+    rows, ncols = _rows_of(m)
+    return ncols - len(_echelon(rows)[1])
 
 
 def in_row_space(rows, vec) -> bool:
-    ech, pivots = _echelon_int(_rows_of(rows))
-    return not any(residual_against(ech, pivots, vec))
-
-
-def _clear_above_pivots(ech: list[list[int]], pivots: list[int]) -> None:
-    """Fraction-free back elimination, in place: turns the echelon form
-    from :func:`_echelon_int` into a reduced one, each pivot column zero
-    outside its pivot row.  Rows stay primitive integral."""
-    for i in reversed(range(len(ech))):
-        p = pivots[i]
-        a = ech[i][p]
-        for j in range(i):
-            c = ech[j][p]
-            if c:
-                g = gcd(a, c)
-                fa, fc = a // g, c // g
-                ech[j] = _reduce_content(
-                    [fa * x - fc * y for x, y in zip(ech[j], ech[i])])
+    ech, pivots = _echelon(_rows_of(rows)[0])
+    return not _reduce(_sparse(vec), ech, pivots)
 
 
 def reduced_echelon(rows) -> list[list[int]]:
     """Reduced echelon over the rationals, rows rescaled to primitive
     integral with positive leading entry.  Canonical basis of the row
     space, ordered by pivot column."""
-    ech, pivots = _echelon_int(_rows_of(rows))
-    _clear_above_pivots(ech, pivots)
-    return [_sign_normalize(r) for r in ech]
+    sparse, ncols = _rows_of(rows)
+    return [_canonical(r, ncols) for r in _echelon(sparse, reduced=True)[0]]
 
 
 class FullRankSolver:
     """Exact solutions of A x = b for one integer matrix A of full column
     rank and many right-hand sides b.
 
-    The factorization is done once.  :func:`_echelon_int` on the
-    transpose of A picks ncols linearly independent rows of A, the pivot
-    rows.  Fraction-free Gauss-Jordan elimination of [B | I], with B the
-    square block of pivot rows, gives an integer R and a diagonal D with
-    R B = D; R is kept as sparse rows.  A solve is then integer dot
-    products: x = D^-1 R b on the pivot rows, and an exact check of
+    The factorization is done once.  The pivot columns of the echelon
+    form of the transpose of A are ncols linearly independent rows of A,
+    the pivot rows.  The reduced echelon form of [B | I], with B the
+    square block of pivot rows, is [D | R] with R an integer matrix and D
+    diagonal, R B = D; R is kept as sparse rows.  A solve is then integer
+    dot products: x = D^-1 R b on the pivot rows, and an exact check of
     A x = b on the other rows, which decides whether a solution exists.
     """
 
     def __init__(self, m):
-        rows = _rows_of(m)
+        rows = _dense_rows(m)
         if any(type(x) is not int for row in rows for x in row):
             raise ValueError("FullRankSolver needs integer entries")
         ncols = len(rows[0]) if rows else 0
-        _, pivot_rows = _echelon_int([list(c) for c in zip(*rows)])
+        _, pivot_rows = _echelon(_rows_of(list(zip(*rows)))[0])
         if len(pivot_rows) != ncols:
             raise ValueError("matrix is not of full column rank")
-        ech, pivots = _echelon_int(
-            [rows[r] + [int(i == j) for j in range(ncols)]
-             for i, r in enumerate(pivot_rows)])
-        _clear_above_pivots(ech, pivots)
-        diag = [row[i] for i, row in enumerate(ech)]
+        red, _ = _echelon(
+            [{**{j: a for j, a in enumerate(rows[r]) if a}, ncols + i: 1}
+             for i, r in enumerate(pivot_rows)], reduced=True)
+        diag = [row[i] for i, row in enumerate(red)]
         self._nrows = len(rows)
         self._den = lcm(*diag)
         # Row i gives den * x_i as a sparse dot product with b.
         self._inverse = [
-            [(pivot_rows[j], t * (self._den // d))
-             for j, t in enumerate(row[ncols:]) if t]
-            for row, d in zip(ech, diag)]
+            [(pivot_rows[j - ncols], t * (self._den // d))
+             for j, t in row.items() if j >= ncols]
+            for row, d in zip(red, diag)]
         pivot_set = set(pivot_rows)
         self._checks = [(r, [(j, a) for j, a in enumerate(row) if a])
                         for r, row in enumerate(rows) if r not in pivot_set]
@@ -304,8 +342,8 @@ def smith_normal_form(m, check: bool = True) -> SNFResult:
     verified before returning; unimodularity holds by construction since
     U and V are products of swaps, sign flips, and shear rows/columns.
     """
-    A = [[int(x) for x in row] for row in _rows_of(m)]
-    for row, orig in zip(A, _rows_of(m)):
+    A = [[int(x) for x in row] for row in _dense_rows(m)]
+    for row, orig in zip(A, _dense_rows(m)):
         if any(Fraction(x) != Fraction(y) for x, y in zip(row, orig)):
             raise ValueError("smith_normal_form needs integer entries")
     nr = len(A)
@@ -388,7 +426,8 @@ def smith_normal_form(m, check: bool = True) -> SNFResult:
     result = SNFResult(U=U, D=A, V=V)
     if check:
         got = _mat_mul(_mat_mul(result.U, [[int(x) for x in row]
-                                           for row in _rows_of(m)]), result.V)
+                                           for row in _dense_rows(m)]),
+                       result.V)
         if got != result.D:
             raise AssertionError("Smith normal form verification failed")
         inv = result.invariants
@@ -418,52 +457,11 @@ def quotient_invariants(rows: Iterable[Sequence[int]],
 # modular checks
 
 
-def _rows_mod(rows: list[list], p: int) -> list[list[int]]:
-    out = []
-    for row in rows:
-        new = []
-        for x in row:
-            if type(x) is int:
-                new.append(x % p)
-                continue
-            f = x if isinstance(x, Fraction) else Fraction(x)
-            if f.denominator % p == 0:
-                raise ZeroDivisionError(
-                    f"denominator divisible by {p} in modular reduction")
-            new.append(f.numerator * pow(f.denominator, -1, p) % p)
-        out.append(new)
-    return out
-
-
 def rank_mod(m, p: int) -> int:
-    """Rank over GF(p); p must be prime.  Rows below the pivot row are
-    zero left of the pivot column, so updates start at that column."""
-    work = _rows_mod(_rows_of(m), p)
-    work = [r for r in work if any(r)]
-    if not work:
-        return 0
-    ncols = len(work[0])
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(work)) if work[i][col]), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = pow(work[r][col], -1, p)
-        tail = [x * inv % p for x in work[r][col:]]
-        for row in work[r + 1:]:
-            c = row[col]
-            if c:
-                row[col:] = [(x - c * y) % p
-                             for x, y in zip(row[col:], tail)]
-        r += 1
-        if r == len(work):
-            break
-    return r
+    """Rank over GF(p); p must be prime."""
+    return len(_echelon(_rows_of(m, p)[0], p)[1])
 
 
 def kernel_dim_mod(m, p: int) -> int:
-    rows = _rows_of(m)
-    if not rows:
-        return 0
-    return len(rows[0]) - rank_mod(rows, p)
+    rows, ncols = _rows_of(m, p)
+    return ncols - len(_echelon(rows, p)[1])

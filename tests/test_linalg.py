@@ -3,6 +3,7 @@
 import json
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
@@ -19,12 +20,143 @@ from grtlab import (
     smith_normal_form,
 )
 from grtlab import ihara
-from grtlab.linalg import (FullRankSolver, _echelon_int, _primitive_int_row,
-                           _sign_normalize)
+from grtlab.linalg import FullRankSolver, _echelon, _rows_of
 
 from conftest import random_int_matrix
 
 PRIMES = [23, 101, 997]
+
+
+# ---------------------------------------------------------------------------
+# Reference: fraction-free and modular elimination over dense rows, a
+# route independent of the sparse eliminator in grtlab.linalg, for the
+# differential tests.
+
+
+def _reduce_content(ints: list[int]) -> list[int]:
+    g = 0
+    for x in ints:
+        g = gcd(g, x)
+        if g == 1:
+            return ints
+    if g > 1:
+        ints = [x // g for x in ints]
+    return ints
+
+
+def _primitive_int_row(row) -> list[int]:
+    """Scale a rational row to integers and divide out the content.
+    Sign is preserved."""
+    if all(type(x) is int for x in row):
+        return _reduce_content(list(row))
+    fracs = [x if isinstance(x, Fraction) else Fraction(x) for x in row]
+    mult = lcm(*(f.denominator for f in fracs)) if fracs else 1
+    return _reduce_content([int(f * mult) for f in fracs])
+
+
+def _sign_normalize(row: list[int]) -> list[int]:
+    for x in row:
+        if x:
+            return row if x > 0 else [-y for y in row]
+    return row
+
+
+def _echelon_int(rows: list[list]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free row echelon form.  Returns the nonzero echelon rows
+    (primitive integral) and the list of pivot columns."""
+    work = [_primitive_int_row(r) for r in rows]
+    work = [r for r in work if any(r)]
+    if not work:
+        return [], []
+    ncols = len(work[0])
+    pivots: list[int] = []
+    r = 0
+    for col in range(ncols):
+        best = None
+        for i in range(r, len(work)):
+            v = work[i][col]
+            if v and (best is None or abs(v) < abs(work[best][col])):
+                best = i
+        if best is None:
+            continue
+        work[r], work[best] = work[best], work[r]
+        a = work[r][col]
+        for i in range(r + 1, len(work)):
+            b = work[i][col]
+            if b:
+                g = gcd(a, b)
+                fa, fb = a // g, b // g
+                work[i] = _reduce_content(
+                    [fa * x - fb * y for x, y in zip(work[i], work[r])])
+        work = work[:r + 1] + [row for row in work[r + 1:] if any(row)]
+        pivots.append(col)
+        r += 1
+        if r == len(work):
+            break
+    return [work[i] for i in range(r)], pivots
+
+
+def _clear_above_pivots(ech: list[list[int]], pivots: list[int]) -> None:
+    """Fraction-free back elimination, in place: turns the echelon form
+    from :func:`_echelon_int` into a reduced one, each pivot column zero
+    outside its pivot row.  Rows stay primitive integral."""
+    for i in reversed(range(len(ech))):
+        p = pivots[i]
+        a = ech[i][p]
+        for j in range(i):
+            c = ech[j][p]
+            if c:
+                g = gcd(a, c)
+                fa, fc = a // g, c // g
+                ech[j] = _reduce_content(
+                    [fa * x - fc * y for x, y in zip(ech[j], ech[i])])
+
+
+def _rows_mod(rows: list[list], p: int) -> list[list[int]]:
+    out = []
+    for row in rows:
+        new = []
+        for x in row:
+            if type(x) is int:
+                new.append(x % p)
+                continue
+            f = x if isinstance(x, Fraction) else Fraction(x)
+            if f.denominator % p == 0:
+                raise ZeroDivisionError(
+                    f"denominator divisible by {p} in modular reduction")
+            new.append(f.numerator * pow(f.denominator, -1, p) % p)
+        out.append(new)
+    return out
+
+
+def _reference_rank_mod(m, p: int) -> int:
+    """Rank over GF(p); p must be prime.  Rows below the pivot row are
+    zero left of the pivot column, so updates start at that column."""
+    work = _rows_mod([list(r) for r in m], p)
+    work = [r for r in work if any(r)]
+    if not work:
+        return 0
+    ncols = len(work[0])
+    r = 0
+    for col in range(ncols):
+        piv = next((i for i in range(r, len(work)) if work[i][col]), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        inv = pow(work[r][col], -1, p)
+        tail = [x * inv % p for x in work[r][col:]]
+        for row in work[r + 1:]:
+            c = row[col]
+            if c:
+                row[col:] = [(x - c * y) % p
+                             for x, y in zip(row[col:], tail)]
+        r += 1
+        if r == len(work):
+            break
+    return r
+
+
+# ---------------------------------------------------------------------------
 
 
 def _mat_vec(rows, x):
@@ -117,10 +249,78 @@ def test_kernel_read_off_matches_fraction_route():
 def test_kernel_read_off_leaves_cached_echelon_alone():
     for n in (7, 9, 10):
         _, ech, _, _ = ihara._hex_cut(n)
-        before = [list(row) for row in ech]
+        before = [dict(row) for row in ech]
         ihara._stable_pairs.cache_clear()
         ihara._stable_pairs(n)
         assert ech == before
+
+
+def _cut_matrix(n, cap):
+    """The dense fiber word x hex matrix of the 5-cycle cut in degree n."""
+    cols = ihara._pentagon_rows(n, [f.terms for f, _ in ihara._hex_pairs(n)],
+                                cap)
+    words = sorted({v for col in cols for v in col})
+    return [[col.get(v, 0) for col in cols] for v in words]
+
+
+def _differential_inputs():
+    """Seeded integer and Fraction matrices of every shape the eliminator
+    meets, then the stable-space matrices of low degree."""
+    rng = random.Random(310)
+    for _ in range(40):
+        rows, cols = rng.randint(1, 8), rng.randint(1, 9)
+        m = _rank_deficient(rng, rows, cols, rng.randint(0, min(rows, cols)))
+        if rng.random() < 0.3:
+            m.insert(rng.randint(0, rows), [0] * cols)
+        yield m
+        # Fractions with denominators prime to every p tested
+        yield [[Fraction(x, rng.choice([1, 5, 7, 35])) for x in row]
+               for row in m]
+    for k in range(1, 6):
+        yield [[rng.randint(-5, 5) for _ in range(k)]]
+        yield [[rng.randint(-5, 5)] for _ in range(k)]
+        yield [[0] * k]
+    for n in range(2, 11):
+        yield ihara._special_pair_matrix(n)
+        for cap in (ihara._A1_CAP, None) if n <= 8 else (ihara._A1_CAP,):
+            m = _cut_matrix(n, cap)
+            if m:
+                yield m
+    for n in range(2, 8):
+        yield ihara._stacked_condition_matrix(n)
+
+
+def test_eliminator_matches_dense_reference():
+    rng = random.Random(311)
+    for m in _differential_inputs():
+        ech, pivots = _echelon_int(m)
+        assert rank(m) == len(ech)
+        assert _echelon(_rows_of(m)[0])[1] == pivots
+        assert kernel_basis(m) == _kernel_by_fractions(m)
+        red = [list(row) for row in ech]
+        _clear_above_pivots(red, pivots)
+        assert reduced_echelon(m) == [_sign_normalize(r) for r in red]
+        ncols = len(m[0])
+        probes = [list(m[rng.randrange(len(m))]),
+                  [rng.randint(-3, 3) for _ in range(ncols)],
+                  [sum(rng.randint(-2, 2) * row[j] for row in m)
+                   + (j == rng.randrange(ncols)) for j in range(ncols)]]
+        for v in probes:
+            assert in_row_space(m, v) == (
+                len(_echelon_int(m + [v])[0]) == len(ech))
+        for p in (2, 3, 23, 101):
+            assert rank_mod(m, p) == _reference_rank_mod(m, p)
+
+
+def test_five_cycle_echelon_matches_dense_reference():
+    for n in range(2, 11):
+        hexes = ihara._hex_pairs(n)
+        dense = _cut_matrix(n, ihara._A1_CAP)
+        red, pivots = ihara._five_cycle_echelon(n, hexes, ihara._A1_CAP)
+        assert pivots == _echelon_int(dense)[1]
+        if dense:
+            assert (ihara._kernel_of_echelon(red, pivots, len(hexes))
+                    == _kernel_by_fractions(dense))
 
 
 def test_full_rank_solver_roundtrip():
