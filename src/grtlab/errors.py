@@ -64,8 +64,12 @@ class DegenerateLeadingTermError(GrtError):
 
 
 class SpecialConditionError(GrtError):
-    """Internal consistency failure: an element that must satisfy the
-    defining condition of the stable derivation algebra does not."""
+    """Caller input fails a defining condition of the stable derivation
+    algebra: ``ihara.special_witness`` raises it when f is not homogeneous
+    of degree >= 2 or no u has [y, f] = [z, u], and
+    ``ihara.ihara_bracket(verify=True)`` when an operand fails the special,
+    2-cycle or 3-cycle condition.  The command line maps it, like every
+    :class:`GrtError`, to exit code 3."""
 
 
 class ClassMismatchError(GrtError):

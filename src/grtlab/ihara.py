@@ -40,8 +40,9 @@ from .errors import (DegenerateLeadingTermError, NotOneDimensionalError,
 from .lie import (LieElement, _bracket_graded, _bracket_into, _merge_scaled,
                   _split_by, _word_images, bracket, from_coordinates,
                   lie_to_string)
-from .linalg import (FullRankSolver, _echelon, _kernel_of_echelon,
-                     kernel_basis, kernel_dim_mod, rank, reduced_echelon)
+from .linalg import (FullRankSolver, _echelon, _kernel_of_echelon, _reduce,
+                     _sparse, kernel_basis, kernel_dim_mod, rank,
+                     reduced_echelon)
 from .motivic import image_model_dims
 from .words import _lyndon_tuples, _std_factorization
 
@@ -227,20 +228,29 @@ def _pentagon_rows(n: int, elements: Sequence[Mapping], cap) -> list[dict]:
 
 def _five_cycle_echelon(n: int, hexes, cap) -> tuple:
     """Reduced echelon form (sparse rows, pivots) of the matrix whose
-    columns are the 5-cycle sums of the f-parts of ``hexes`` within the
-    budget ``cap``, one row per fiber word that occurs."""
+    columns are the 5-cycle sums of ``hexes`` within the budget ``cap``,
+    one row per fiber word that occurs."""
     rows: dict = {}
-    for j, col in enumerate(_pentagon_rows(n, [f.terms for f, _ in hexes],
+    for j, col in enumerate(_pentagon_rows(n, [f.terms for f in hexes],
                                            cap)):
         for v, c in col.items():
             rows.setdefault(v, {})[j] = c
     return _echelon(list(rows.values()), reduced=True)
 
 
-def _in_cut(ech, t) -> bool:
-    """Whether hex coordinates t satisfy the 5-cycle cut given by the
-    sparse echelon rows ``ech``."""
-    return not any(sum(e * t[j] for j, e in row.items()) for row in ech)
+def _cut(n: int, hexes, cap) -> tuple:
+    """The hex elements whose 5-cycle sums vanish within the budget
+    ``cap``, as (basis, rows, pivots): the canonical basis (reduced
+    echelon form over the degree-n Lyndon coordinates, primitive
+    integral, leading entry positive), the same rows made sparse, and
+    their pivot columns."""
+    combos = _kernel_of_echelon(*_five_cycle_echelon(n, hexes, cap),
+                                len(hexes))
+    dense = reduced_echelon([f.coordinates(n)
+                             for f in _combine(combos, hexes)])
+    rows = tuple(_sparse(row) for row in dense)
+    return (tuple(from_coordinates(XY, n, row) for row in dense), rows,
+            tuple(min(row) for row in rows))
 
 
 # ---------------------------------------------------------------------
@@ -249,7 +259,7 @@ def _in_cut(ech, t) -> bool:
 # Everything that depends on the degree n alone is cached per degree, so
 # that queries (is_stable, special_witness, the verified bracket) reuse
 # it: the factored ad(z) matrix, the 2-cycle and 3-cycle images of each
-# Lyndon word, the hex basis and the 5-cycle cut in hex coordinates.
+# Lyndon word, the hex basis and the canonical basis of D_n.
 # ---------------------------------------------------------------------
 
 def clear_caches() -> None:
@@ -258,7 +268,7 @@ def clear_caches() -> None:
     and the action of base words on fiber letters and words.  Later calls
     rebuild them, with identical results."""
     for cached in (_special_pair_matrix, _ad_z, _symmetry_images,
-                   _hex_pairs, _hex_cut, _stable_pairs):
+                   _hex_pairs, _stable_pairs):
         cached.cache_clear()
     for cache in (*_EVAL_CACHE, _ACT_ON_WORD, _ACT_IM):
         cache.clear()
@@ -319,40 +329,38 @@ def _symmetry_rows(f: LieElement, n: int) -> list:
 
 @functools.lru_cache(maxsize=None)
 def _hex_pairs(n: int) -> tuple:
-    """Basis of {(f, u)} satisfying special, 2-cycle and 3-cycle, before
-    the 5-cycle cut.  Entries are (f, u) LieElement pairs."""
+    """Basis of the hex space: the f satisfying special, 2-cycle and
+    3-cycle, before the 5-cycle cut, from the f halves of the special-pair
+    kernel.  The name is kept, though entries are no longer (f, u) pairs,
+    because the benchmark hooks it (``perfbench/spans.py``)."""
     d = len(_lyndon_tuples((1, 1), n))
-    pairs = [(from_coordinates(XY, n, v[:d]), from_coordinates(XY, n, v[d:]))
-             for v in kernel_basis(_special_pair_matrix(n))]
-    if not pairs:
+    specials = [from_coordinates(XY, n, v[:d])
+                for v in kernel_basis(_special_pair_matrix(n))]
+    if not specials:
         return ()
-    cond = [_symmetry_rows(f, n) for f, _ in pairs]
+    cond = [_symmetry_rows(f, n) for f in specials]
     return tuple(_combine(kernel_basis([list(col) for col in zip(*cond)]),
-                          pairs))
+                          specials))
 
 
-def _combine(combos, pairs) -> list:
-    """The (f, u) pairs sum_j t_j pairs[j], one per coefficient vector t."""
+def _combine(combos, elements) -> list:
+    """The elements sum_j t_j elements[j], one per coefficient vector t."""
     out = []
     for t in combos:
-        f, u = {}, {}
-        for tj, (fj, uj) in zip(t, pairs):
+        f: dict = {}
+        for tj, fj in zip(t, elements):
             _merge_scaled(f, fj.terms, tj)
-            _merge_scaled(u, uj.terms, tj)
-        out.append((LieElement(XY, f), LieElement(XY, u)))
+        out.append(LieElement(XY, f))
     return out
 
 
 @functools.lru_cache(maxsize=None)
-def _hex_cut(n: int) -> tuple:
-    """The 5-cycle condition on the hex space, in hex coordinates.
-
-    Returns (solver, ech, pivots, route).  ``solver`` finds the coordinates
-    t of an f-part in the hex basis, f = sum t_j h_j with h_j the f-parts
-    of :func:`_hex_pairs`.  ``ech`` and ``pivots`` are the reduced echelon
-    form, sparse rows {j: entry}, of a matrix whose columns C_j are
-    5-cycle sums of the h_j, such that sum t_j h_j lies in D_n exactly
-    when ech t = 0.
+def _stable_pairs(n: int) -> tuple:
+    """D_n as (basis, rows, pivots, route): its canonical basis, the same
+    basis as sparse reduced echelon rows with their pivot columns (see
+    :func:`_cut`), and the route that decided the 5-cycle cut.  The name
+    is kept, though no witnesses are carried, because the benchmark hooks
+    it (``perfbench/spans.py``).
 
     The cut is first made in the a1-degree <= 1 quotient of the fiber (see
     the notes above the 5-cycle code).  The quotient map sends the full
@@ -369,49 +377,49 @@ def _hex_cut(n: int) -> tuple:
     The bound, dim B_n + [n odd, n >= 3] from :func:`_lower_bound`, reads
     D_m for m < n only, and those are decided first: the argument is an
     induction on the degree.  Where dim K_q meets the bound, K_q = D_n and
-    ``route`` is "bounds"; otherwise the hex space is cut over the full
-    fiber and ``route`` is "full".
+    the route is "bounds"; otherwise the hex space is cut over the full
+    fiber and the route is "full".
     """
+    if n < 2:
+        return (), (), (), None
     hexes = _hex_pairs(n)
-    solver = FullRankSolver([[f.terms.get(w, 0) for f, _ in hexes]
-                             for w in _lyndon_tuples((1, 1), n)])
     # The evaluator skips the base part, f + f(y, x); it must vanish here.
     d = len(_lyndon_tuples((1, 1), n))
-    if any(any(_symmetry_rows(f, n)[:d]) for f, _ in hexes):
+    if any(any(_symmetry_rows(f, n)[:d]) for f in hexes):
         raise AssertionError(
             "5-cycle base component failed to cancel on a 2-cycle "
             "symmetric element")
-    ech, pivots = _five_cycle_echelon(n, hexes, _A1_CAP)
-    dim_q = len(hexes) - len(pivots)
-    bound = _lower_bound(n, solver, ech)
+    cut, route = _cut(n, hexes, _A1_CAP), "bounds"
+    bound, dim_q = _lower_bound(n, cut), len(cut[0])
     if bound > dim_q:
         raise AssertionError(
             f"degree {n}: lower bound {bound} exceeds the dimension {dim_q} "
             "of the quotient cut")
-    if bound == dim_q:
-        return solver, ech, pivots, "bounds"
-    return (solver, *_five_cycle_echelon(n, hexes, None), "full")
+    if bound < dim_q:
+        cut, route = _cut(n, hexes, None), "full"
+    return (*cut, route)
 
 
-def _lower_bound(n: int, solver: FullRankSolver, ech) -> int:
+def _lower_bound(n: int, cut) -> int:
     """dim B_n, plus 1 in odd degree n >= 3: a lower bound on dim D_n (see
-    :func:`_hex_cut`).  Each bracket in B_n must lie in the hex span, in
-    the cut given by the echelon rows ``ech`` over hex coordinates, and
-    have no x^(n-1) y term; a bracket that does not is a bug, and raises
-    AssertionError."""
+    :func:`_stable_pairs`).  Each bracket in B_n must lie in the quotient
+    cut K_q, given as :func:`_cut` returns it, and have no x^(n-1) y term;
+    a bracket that does not is a bug, and raises AssertionError."""
+    _, rows, pivots = cut
     depth1 = (0,) * (n - 1) + (1,)
     span = []
     for a in range(1, n // 2 + 1):
-        right = _stable_pairs(n - a)
-        for i, (f, _) in enumerate(_stable_pairs(a)):
-            for g, _ in right[i + 1:] if 2 * a == n else right:
+        right = _stable_pairs(n - a)[0]
+        for i, f in enumerate(_stable_pairs(a)[0]):
+            for g in right[i + 1:] if 2 * a == n else right:
                 b = ihara_bracket(f, g, verify=False)
-                t = solver.solve(b.coordinates(n))
-                if t is None or b.terms.get(depth1) or not _in_cut(ech, t):
+                coords = b.coordinates(n)
+                if (b.terms.get(depth1)
+                        or _reduce(_sparse(coords), rows, pivots)):
                     raise AssertionError(
                         f"bracket of degrees {a} and {n - a} lies outside "
                         "the 5-cycle cut")
-                span.append(t)
+                span.append(coords)
     return rank(span) + (1 if n % 2 and n >= 3 else 0)
 
 
@@ -423,34 +431,11 @@ def five_cycle_route(n: int) -> str:
     Ihara bracket and a Soule element in each odd degree n >= 3, applied
     to the lower degrees, which are decided first (induction on n); so
     the quotient cut is D_n itself.  "full": the bound fell short, and
-    the hex space was cut over the full fiber.  See :func:`_hex_cut`.
+    the hex space was cut over the full fiber.  See :func:`_stable_pairs`.
     """
     if n < 2:
         raise PreconditionError("degree must be >= 2")
-    return _hex_cut(n)[3]
-
-
-@functools.lru_cache(maxsize=None)
-def _stable_pairs(n: int) -> tuple:
-    """Canonical basis of {(f, u) : f in D_n}, cut out of the hex space
-    by the 5-cycle rows and put in reduced echelon form over the
-    f-coordinates."""
-    if n < 2:
-        return ()
-    hexes = _hex_pairs(n)
-    _, ech, pivots, _ = _hex_cut(n)
-    combos = _kernel_of_echelon(ech, pivots, len(hexes))
-    if not combos:
-        return ()
-    d = len(_lyndon_tuples((1, 1), n))
-    # Canonical form: reduced echelon over the f-coordinates, with the u
-    # witnesses transformed alongside.
-    fm = [f.coordinates(n) + u.coordinates(n)
-          for f, u in _combine(combos, hexes)]
-    ech = reduced_echelon(fm)
-    return tuple(
-        (from_coordinates(XY, n, row[:d]), from_coordinates(XY, n, row[d:]))
-        for row in ech)
+    return _stable_pairs(n)[3]
 
 
 def special_basis(n: int) -> list[LieElement]:
@@ -458,14 +443,14 @@ def special_basis(n: int) -> list[LieElement]:
     primitive integer coordinate vectors)."""
     if n < 1:
         raise PreconditionError("degree must be >= 1")
-    return [LieElement(XY, dict(f.terms)) for f, _ in _stable_pairs(n)]
+    return [LieElement(XY, dict(f.terms)) for f in _stable_pairs(n)[0]]
 
 
 def special_dim(n: int) -> int:
     """dim D_n."""
     if n < 1:
         raise PreconditionError("degree must be >= 1")
-    return len(_stable_pairs(n))
+    return len(_stable_pairs(n)[0])
 
 
 def special_witness(f: LieElement) -> LieElement:
@@ -490,10 +475,10 @@ def is_stable(f: LieElement, check_five_cycle: bool = True) -> bool:
 
     The special condition is one solve against the factored degree-n
     ad(z) matrix, and the 2- and 3-cycle conditions merge cached per-word
-    images.  The 5-cycle check then writes f in the hex basis (special,
-    2-cycle and 3-cycle together) and tests those coordinates against the
-    5-cycle cut; the first check in a degree builds the hex basis and the
-    cut, everything after reuses them.  Pass
+    images.  The 5-cycle check then reduces the coordinates of f against
+    the cached sparse echelon rows of the canonical basis of D_n: f lies
+    in D_n exactly when nothing is left.  The first check in a degree
+    builds that basis, everything after reuses it.  Pass
     ``check_five_cycle=False`` for the cheap necessary conditions only.
     """
     n = f.homogeneous_degree()
@@ -508,13 +493,8 @@ def is_stable(f: LieElement, check_five_cycle: bool = True) -> bool:
     if any(_symmetry_rows(f, n)):
         return False
     if check_five_cycle:
-        solver, ech, _, _ = _hex_cut(n)
-        t = solver.solve(f.coordinates(n))
-        if t is None:
-            raise AssertionError(
-                "element satisfying the special, 2-cycle and 3-cycle "
-                "conditions lies outside the hex span")
-        return _in_cut(ech, t)
+        _, rows, pivots, _ = _stable_pairs(n)
+        return not _reduce(_sparse(f.coordinates(n)), rows, pivots)
     return True
 
 

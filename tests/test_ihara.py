@@ -114,7 +114,7 @@ def test_bracket_outside_cut_is_a_bug(monkeypatch):
     # must fail the exactness guard as a bug, not as a precondition.
     (f,) = special_basis(10)
     rows = [[int(c) for c in f.coordinates(10)]]
-    outside = next(h for h, _ in _hex_pairs(10)
+    outside = next(h for h in _hex_pairs(10)
                    if not in_row_space(rows, h.coordinates(10)))
     bracket_of = ihara.ihara_bracket
     monkeypatch.setattr(ihara, "ihara_bracket", lambda f, g, **kw: (
@@ -176,7 +176,7 @@ def _pentagon_by_word(elements, cap):
 def test_pentagon_rows_match_per_word_route():
     for cap in (None, _A1_CAP):
         for n in range(3, 11):
-            hexes = [f.terms for f, _ in _hex_pairs(n)]
+            hexes = [f.terms for f in _hex_pairs(n)]
             assert (_pentagon_rows(n, hexes, cap)
                     == _pentagon_by_word(hexes, cap))
         for n in range(2, 9):
@@ -189,7 +189,7 @@ def test_quotient_evaluation_is_the_pruned_full_one():
     # The words of a1-degree >= 2 span an ideal stable under the action,
     # so pruning at every step equals pruning the full 5-cycle sum once.
     for n in range(2, 10):
-        for elements in ([f.terms for f, _ in _hex_pairs(n)],
+        for elements in ([f.terms for f in _hex_pairs(n)],
                          [{w: 1} for w in _lyndon_tuples((1, 1), n)]):
             full = _pentagon_rows(n, elements, None)
             assert _pentagon_rows(n, elements, _A1_CAP) == [
@@ -214,6 +214,18 @@ def test_basis_elements_are_stable():
         for f in special_basis(n):
             assert is_stable(f)
             assert f.homogeneous_degree() == n
+
+
+def test_special_basis_hands_out_copies():
+    # A caller mutating what it got must not reach the cached basis.
+    for n in (3, 10):
+        before = special_basis(n)
+        got = special_basis(n)
+        got[0].terms.clear()
+        got[0].terms[(0,) * (n - 1) + (1,)] = 1
+        assert not is_stable(got[0])
+        assert special_basis(n) == before
+        assert is_stable(before[0])
 
 
 def test_degree_3_generator_exact():
@@ -281,7 +293,7 @@ def test_is_stable_rejects_on_five_cycle_alone():
     for n, hex_dim in ((7, 2), (9, 4), (10, 2)):
         basis = special_basis(n)
         assert len(basis) == 1
-        hexes = [f for f, _ in _hex_pairs(n)]
+        hexes = list(_hex_pairs(n))
         assert len(hexes) == hex_dim
         rows = [[int(c) for c in b.coordinates(n)] for b in basis]
         outside = [f for f in hexes
@@ -416,7 +428,7 @@ def test_freeness_table_through_12():
 def test_clear_caches_rebuilds_identical_bases():
     before = {n: special_basis(n) for n in range(2, 10)}
     # fill the full-fiber caches too, next to the quotient ones
-    _pentagon_rows(8, [f.terms for f, _ in _hex_pairs(8)], None)
+    _pentagon_rows(8, [f.terms for f in _hex_pairs(8)], None)
     assert {k[0] for k in ihara._ACT_ON_WORD} == {None, _A1_CAP}
     ihara.clear_caches()
     assert not any(ihara._EVAL_CACHE) and not ihara._ACT_ON_WORD
@@ -424,7 +436,7 @@ def test_clear_caches_rebuilds_identical_bases():
     # every per-degree cache of the module, so that a new one is not missed
     per_degree = [f for f in vars(ihara).values() if hasattr(f, "cache_info")
                   and f.__module__ == ihara.__name__]
-    assert len(per_degree) == 6
+    assert len(per_degree) == 5
     assert all(f.cache_info().currsize == 0 for f in per_degree)
     assert {n: special_basis(n) for n in range(2, 10)} == before
     # the bounds decided every degree, so only the quotient was evaluated,

@@ -248,16 +248,23 @@ def test_kernel_read_off_matches_fraction_route():
 
 def test_kernel_read_off_leaves_cached_echelon_alone():
     for n in (7, 9, 10):
-        _, ech, _, _ = ihara._hex_cut(n)
-        before = [dict(row) for row in ech]
-        ihara._stable_pairs.cache_clear()
-        ihara._stable_pairs(n)
-        assert ech == before
+        red, pivots = ihara._five_cycle_echelon(n, ihara._hex_pairs(n),
+                                                ihara._A1_CAP)
+        before = [dict(row) for row in red], list(pivots)
+        ihara._kernel_of_echelon(red, pivots, len(ihara._hex_pairs(n)))
+        assert (red, pivots) == before
+        # the cached D_n rows survive every reduction against them
+        _, rows, piv, _ = ihara._stable_pairs(n)
+        cached = [dict(row) for row in rows], list(piv)
+        for f in [*ihara._hex_pairs(n), *ihara.special_basis(n)]:
+            ihara.is_stable(f)
+        ihara._lower_bound(n, ((), rows, piv))
+        assert ([dict(row) for row in rows], list(piv)) == cached
 
 
 def _cut_matrix(n, cap):
     """The dense fiber word x hex matrix of the 5-cycle cut in degree n."""
-    cols = ihara._pentagon_rows(n, [f.terms for f, _ in ihara._hex_pairs(n)],
+    cols = ihara._pentagon_rows(n, [f.terms for f in ihara._hex_pairs(n)],
                                 cap)
     words = sorted({v for col in cols for v in col})
     return [[col.get(v, 0) for col in cols] for v in words]
