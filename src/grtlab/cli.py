@@ -62,6 +62,18 @@ def _alphabet(text: str) -> GradedAlphabet:
     return GradedAlphabet(text)
 
 
+def _int_list(text: str) -> list[int]:
+    """A comma-separated list of integers; a token that is not one is a
+    usage error that names it."""
+    out = []
+    for token in filter(None, text.split(",")):
+        try:
+            out.append(int(token))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {token!r}")
+    return out
+
+
 def _check_ihara_degree(n: int) -> None:
     if n > ihara.HARD_MAX_DEGREE:
         raise GrtError(
@@ -247,16 +259,15 @@ def _cmd_malcev_word(args):
 
 
 def _cmd_malcev_filtration(args):
-    params = [int(t) for t in args.params.split(",") if t]
     if args.family == "FreeGroup":
-        if len(params) != 2:
+        if len(args.params) != 2:
             raise GrtError("FreeGroup takes --params k,class")
-        family_obj = malcev.FreeGroup(*params)
+        family_obj = malcev.FreeGroup(*args.params)
         default_m = family_obj.cls
     elif args.family == "LatticeTimesCyclic":
-        if len(params) != 2:
+        if len(args.params) != 2:
             raise GrtError("LatticeTimesCyclic takes --params rank,torsion")
-        family_obj = malcev.LatticeTimesCyclic(*params)
+        family_obj = malcev.LatticeTimesCyclic(*args.params)
         default_m = 2
     elif args.family == "SubgroupOfNilpotent":
         if not args.generator:
@@ -369,7 +380,7 @@ def _malcev_verbs(ma) -> None:
     p = _verb(ma, "filtration", _cmd_malcev_filtration,
               help="lower central series lattice report")
     p.add_argument("--family", required=True)
-    p.add_argument("--params", default="")
+    p.add_argument("--params", type=_int_list, default=[])
     p.add_argument("--max-m", type=int, default=None)
     p.add_argument("--class", dest="cls", type=int, default=2)
     p.add_argument("--alphabet", default="x y")

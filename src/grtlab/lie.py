@@ -334,13 +334,35 @@ class AssocPoly(_SparseVector):
 
     __slots__ = ()
 
-    def __mul__(self, other: "AssocPoly") -> "AssocPoly":
+    def times(self, other: "AssocPoly",
+              max_degree: int | None = None) -> "AssocPoly":
+        """The product self * other, by concatenation of words.
+
+        ``max_degree`` keeps only the part of degree at most the bound:
+        pairs of words whose degrees add up to more are never formed.
+        It is the tensor-side twin of ``bracket(a, b, max_degree)``.
+        """
         self._check(other)
+        deg = self.alphabet.word_degree
+        right = _split_by(other.terms, deg)
+        bound = float("inf") if max_degree is None else max_degree
         acc: dict[Word, object] = {}
+        get = acc.get
         for u, cu in self.terms.items():
-            _merge_scaled(acc, {u + v: cv for v, cv in other.terms.items()},
-                          cu)
+            room = bound - deg(u)
+            for d, t in right.items():
+                if d > room:
+                    continue
+                for v, cv in t.items():
+                    w = u + v
+                    new = get(w, 0) + cu * cv
+                    if new:
+                        acc[w] = new
+                    else:
+                        del acc[w]
         return AssocPoly(self.alphabet, acc)
+
+    __mul__ = times
 
     def __repr__(self) -> str:
         if not self.terms:

@@ -18,11 +18,10 @@ torsion-isolated refinement.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (ClassMismatchError, LieSyntaxError,
+from .errors import (ClassMismatchError, LieSyntaxError, PreconditionError,
                      UnknownGeneratorError, UnsupportedFamilyError)
 from .lie import (AssocPoly, LieElement, bracket, lie_to_string,
                   project_lyndon, substitute)
@@ -40,9 +39,9 @@ class NilpotentElement:
 
     def __init__(self, value: LieElement, cls: int):
         if cls < 1:
-            raise ValueError("class must be a positive integer")
+            raise PreconditionError("class must be a positive integer")
         if any(value.alphabet.word_degree(w) > cls for w in value.terms):
-            raise ValueError(
+            raise PreconditionError(
                 "element has a component above the class bound")
         self.value = value
         self.cls = cls
@@ -74,7 +73,7 @@ def _exp_tensor(p: AssocPoly, max_degree: int) -> AssocPoly:
     power = unit
     fact = 1
     for k in range(1, max_degree + 1):
-        power = (power * p).truncate(max_degree)
+        power = power.times(p, max_degree)
         fact *= k
         out = out + power.scale(Fraction(1, fact))
     return out
@@ -86,9 +85,17 @@ def _log_tensor(q: AssocPoly, max_degree: int) -> AssocPoly:
     out = AssocPoly.zero(q.alphabet)
     power = AssocPoly(q.alphabet, {(): 1})
     for k in range(1, max_degree + 1):
-        power = (power * r).truncate(max_degree)
+        power = power.times(r, max_degree)
         out = out + power.scale(Fraction((-1) ** (k - 1), k))
     return out
+
+
+def _bch_tensor(cls: int) -> AssocPoly:
+    """log(exp u * exp v) in the tensor algebra, truncated at ``cls``."""
+    u = AssocPoly(_UV, {(0,): 1})
+    v = AssocPoly(_UV, {(1,): 1})
+    return _log_tensor(_exp_tensor(u, cls).times(_exp_tensor(v, cls), cls),
+                       cls)
 
 
 def _left_normed(word: tuple[int, ...]) -> LieElement:
@@ -105,12 +112,9 @@ def universal_bch(cls: int) -> LieElement:
     formula: each word of log(exp u * exp v) maps to its left-normed
     bracketing divided by its length."""
     if cls < 1:
-        raise ValueError("class must be a positive integer")
-    u = AssocPoly(_UV, {(0,): 1})
-    v = AssocPoly(_UV, {(1,): 1})
-    series = _log_tensor(_exp_tensor(u, cls) * _exp_tensor(v, cls), cls)
+        raise PreconditionError("class must be a positive integer")
     out = LieElement.zero(_UV)
-    for w, c in series.terms.items():
+    for w, c in _bch_tensor(cls).terms.items():
         out = out + _left_normed(w).scale(Fraction(c, len(w)))
     return out
 
@@ -119,10 +123,7 @@ def tensor_bch(cls: int) -> LieElement:
     """Same series as :func:`universal_bch` but projected onto the Lyndon
     basis by triangular elimination, which also certifies that the
     truncated series is a Lie element.  Kept as the independent route."""
-    u = AssocPoly(_UV, {(0,): 1})
-    v = AssocPoly(_UV, {(1,): 1})
-    series = _log_tensor(_exp_tensor(u, cls) * _exp_tensor(v, cls), cls)
-    return project_lyndon(series)
+    return project_lyndon(_bch_tensor(cls))
 
 
 def bch(a: NilpotentElement, b: NilpotentElement) -> NilpotentElement:
@@ -230,17 +231,17 @@ def _free_alphabet(k: int) -> GradedAlphabet:
     return GradedAlphabet(" ".join(f"x{i}" for i in range(1, k + 1)))
 
 
-def _iterated_commutators(gens, m: int):
-    """All left-normed m-fold group commutators of the generators."""
-    if m == 1:
-        return list(gens)
-    out = []
-    for idx in itertools.product(range(len(gens)), repeat=m):
-        c = gens[idx[0]]
-        for i in idx[1:]:
-            c = group_commutator(c, gens[i])
-        out.append(c)
-    return out
+def _commutator_levels(gens, top: int) -> list[list[NilpotentElement]]:
+    """The left-normed m-fold group commutators of the generators for
+    m = 1..top, level m at index m - 1.  Level 1 is the generators and
+    level m is [c, g] for c in level m - 1 and g in ``gens``, so each
+    commutator is formed once, from its parent, and every level comes in
+    the lexicographic order of its generator index tuples."""
+    levels = [list(gens)]
+    for _ in range(1, top):
+        levels.append([group_commutator(c, g)
+                       for c in levels[-1] for g in gens])
+    return levels
 
 
 def _graded_rows(elements, alphabet: GradedAlphabet, m: int) -> list[list[int]]:
@@ -276,9 +277,15 @@ def filtration_report(family, max_m: int) -> list[dict]:
     torsion-isolated series and the lower central series at that level);
     ``torsion`` is the torsion of the saturated graded piece, empty by
     construction.
+
+    The commutators are built once, as one tree: each m-fold commutator
+    extends an (m-1)-fold one by a generator, so k generators cost
+    k^2 + ... + k^c group commutators up to class c (124 for two
+    generators at class 6).  The BCH series behind them comes from
+    tensor exp and log that never form terms above the class.
     """
     if max_m < 1:
-        raise ValueError("max_m must be >= 1")
+        raise PreconditionError("max_m must be >= 1")
     if isinstance(family, FreeGroup):
         family = SubgroupOfNilpotent(
             NilpotentElement(LieElement(_free_alphabet(family.num_generators),
@@ -290,14 +297,15 @@ def filtration_report(family, max_m: int) -> list[dict]:
                 f"levels above class + 1 = {family.cls + 1} are not visible "
                 "in a class-" + str(family.cls) + " truncation")
         letter_degrees = family.alphabet.degrees
+        levels = _commutator_levels(family.generators,
+                                    min(max_m, family.cls))
         out = []
         for m in range(1, max_m + 1):
             ambient = len(_lyndon_tuples(letter_degrees, m))
             if ambient == 0 or m > family.cls:
                 out.append({"m": m, "rank": 0, "torsion": [], "d_mod_l": []})
                 continue
-            rows = _graded_rows(_iterated_commutators(family.generators, m),
-                                family.alphabet, m)
+            rows = _graded_rows(levels[m - 1], family.alphabet, m)
             out.append(_lattice_row(m, rows, ambient))
         return out
     if isinstance(family, LatticeTimesCyclic):

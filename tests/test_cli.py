@@ -34,6 +34,10 @@ def test_exit_one_usage():
     assert run(["nosuchgroup"]).status == 1
     assert run(["lie", "nosuchverb"]).status == 1
     assert run([]).status == 1
+    r = run(["malcev", "filtration", "--family", "FreeGroup",
+             "--params", "2,x"])                    # not an integer
+    assert r.status == 1
+    assert "'x'" in r.rendering and "--params" in r.rendering
 
 
 def test_exit_two_syntax():
@@ -51,6 +55,8 @@ def test_exit_three_precondition():
     assert run(["motivic", "dn", "--r1", "0", "--r2", "0",
                 "--s", "1", "--n", "3"]).status == 3
     assert run(["malcev", "filtration", "--family", "Nonsense"]).status == 3
+    assert run(["malcev", "filtration", "--family", "FreeGroup",
+                "--params", "2"]).status == 3                 # arity
 
 
 def test_lie_commands():

@@ -211,3 +211,42 @@ def test_assoc_poly_algebra():
         c = expand_assoc(random_element(XY, 3, rng))
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
+
+
+def _reference_product(a, b):
+    """The product as every pair of words, concatenated: the unbounded
+    loop the bounded product replaced, kept as its reference."""
+    acc = {}
+    for u, cu in a.terms.items():
+        for v, cv in b.terms.items():
+            acc[u + v] = acc.get(u + v, 0) + cu * cv
+    return AssocPoly(a.alphabet, acc)
+
+
+def _random_assoc(alphabet, rng, max_length=5, max_terms=8):
+    """Random rational tensor element, the empty word included."""
+    terms = {}
+    for _ in range(rng.randint(0, max_terms)):
+        w = tuple(rng.randrange(len(alphabet))
+                  for _ in range(rng.randint(0, max_length)))
+        terms[w] = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+    return AssocPoly(alphabet, terms)
+
+
+def test_bounded_product_matches_truncation():
+    # degree, not length, decides what is dropped: the weighted alphabet
+    # has letter degrees 1, 2, 3
+    rng = random.Random(112)
+    weighted = GradedAlphabet("a:1 b:2 c:3")
+    for alphabet in (GradedAlphabet("u v"), weighted):
+        top = 2 * 5 * max(alphabet.degrees)
+        for _ in range(30):
+            a = _random_assoc(alphabet, rng)
+            b = _random_assoc(alphabet, rng)
+            full = _reference_product(a, b)
+            assert a * b == full
+            assert a.times(b) == full
+            for k in range(-1, top + 2):
+                assert a.times(b, k) == full.truncate(k)
+    with pytest.raises(AlphabetMismatchError):
+        AssocPoly(XY, {(0,): 1}).times(AssocPoly(weighted, {(0,): 1}), 3)

@@ -1,17 +1,21 @@
 """Truncated unipotent groups: BCH series, group words, filtration lattices."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from grtlab import (
+    AssocPoly,
     ClassMismatchError,
     FreeGroup,
+    GradedAlphabet,
     LatticeTimesCyclic,
     LieElement,
     LieSyntaxError,
     NilpotentElement,
+    PreconditionError,
     SubgroupOfNilpotent,
     UnknownGeneratorError,
     UnsupportedFamilyError,
@@ -20,10 +24,13 @@ from grtlab import (
     filtration_report,
     group_commutator,
     inverse,
+    malcev,
+    parse_lie,
     universal_bch,
     word_to_group,
 )
-from grtlab.malcev import tensor_bch
+from grtlab.malcev import (_commutator_levels, _exp_tensor, _log_tensor,
+                           tensor_bch)
 
 from conftest import XY, random_homogeneous
 
@@ -59,8 +66,55 @@ def test_universal_bch_low_classes():
 
 
 def test_universal_bch_matches_tensor_route():
-    for cls in range(1, 7):
+    for cls in range(1, 8):
         assert universal_bch(cls) == tensor_bch(cls)
+
+
+def _reference_exp(p, k):
+    """exp truncated at k, each power formed in full and then truncated:
+    the route the degree-bounded product replaced."""
+    out = power = AssocPoly(p.alphabet, {(): 1})
+    fact = 1
+    for j in range(1, k + 1):
+        power = (power * p).truncate(k)
+        fact *= j
+        out = out + power.scale(Fraction(1, fact))
+    return out
+
+
+def _reference_log(q, k):
+    r = q - AssocPoly(q.alphabet, {(): 1})
+    out = AssocPoly.zero(q.alphabet)
+    power = AssocPoly(q.alphabet, {(): 1})
+    for j in range(1, k + 1):
+        power = (power * r).truncate(k)
+        out = out + power.scale(Fraction((-1) ** (j - 1), j))
+    return out
+
+
+def test_tensor_exp_and_log_match_reference():
+    # both BCH routes share _exp_tensor and _log_tensor, so they are
+    # checked here against the full-then-truncate route and against
+    # log(exp p) = p, with letter degrees 1, 2, 3 so degree != length
+    rng = random.Random(604)
+    for alphabet in (GradedAlphabet("u v"), GradedAlphabet("a:1 b:2 c:3")):
+        for _ in range(8):
+            k = rng.randint(1, 6)
+            terms = {}
+            for _ in range(rng.randint(1, 4)):
+                w = tuple(rng.randrange(len(alphabet))
+                          for _ in range(rng.randint(1, 3)))
+                terms[w] = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+            p = AssocPoly(alphabet, terms)
+            e = _exp_tensor(p, k)
+            assert e == _reference_exp(p, k)
+            assert _log_tensor(e, k) == _reference_log(e, k)
+            assert _log_tensor(e, k) == p.truncate(k)
+    u = AssocPoly(GradedAlphabet("u v"), {(0,): 1})
+    v = AssocPoly(GradedAlphabet("u v"), {(1,): 1})
+    for k in range(1, 6):
+        q = _reference_exp(u, k) * _reference_exp(v, k)
+        assert _log_tensor(q, k) == _reference_log(q, k)
 
 
 def test_identity_and_inverse():
@@ -97,6 +151,19 @@ def test_commutator_leading_term():
         a1 = _element(a.value, 1)
         b1 = _element(b.value, 1)
         assert not group_commutator(a1, b1).value
+
+
+def test_malcev_preconditions_raise_precondition_error():
+    x = LieElement.generator(XY, "x")
+    y = LieElement.generator(XY, "y")
+    with pytest.raises(PreconditionError):
+        NilpotentElement(x, 0)
+    with pytest.raises(PreconditionError):
+        NilpotentElement(bracket(x, y), 1)
+    with pytest.raises(PreconditionError):
+        universal_bch(0)
+    with pytest.raises(PreconditionError):
+        filtration_report(FreeGroup(2, 2), 0)
 
 
 def test_class_bound_enforced():
@@ -187,3 +254,54 @@ def test_filtration_rejects_bad_input():
     with pytest.raises(UnsupportedFamilyError):
         SubgroupOfNilpotent([NilpotentElement(x, 2),
                              NilpotentElement(x, 3)])
+
+
+def _reference_iterated_commutators(gens, m):
+    """All left-normed m-fold group commutators of the generators, each
+    built from scratch along its index tuple: the route the commutator
+    tree replaced, kept as its reference."""
+    if m == 1:
+        return list(gens)
+    out = []
+    for idx in itertools.product(range(len(gens)), repeat=m):
+        c = gens[idx[0]]
+        for i in idx[1:]:
+            c = group_commutator(c, gens[i])
+        out.append(c)
+    return out
+
+
+def _free_generators(k, cls):
+    alphabet = malcev._free_alphabet(k)
+    return [NilpotentElement(LieElement(alphabet, {(i,): 1}), cls)
+            for i in range(k)]
+
+
+def test_commutator_levels_match_reference():
+    higher = [NilpotentElement(parse_lie(text, XY), 4)
+              for text in ("x + [x,y]", "2*y - [x,[x,y]]")]
+    for gens, top in ((_free_generators(2, 5), 5),
+                      (_free_generators(3, 4), 4),
+                      (higher, 4)):
+        levels = _commutator_levels(gens, top)
+        assert len(levels) == top
+        for m, level in enumerate(levels, start=1):
+            assert level == _reference_iterated_commutators(gens, m)
+    # the higher-degree terms reach the lattices: index 2 in every level
+    rows = filtration_report(SubgroupOfNilpotent(higher), 4)
+    assert [r["rank"] for r in rows] == [2, 1, 2, 3]
+    assert all(r["d_mod_l"] for r in rows)
+
+
+def test_filtration_forms_each_commutator_once(monkeypatch):
+    calls = []
+    real = malcev.group_commutator
+
+    def counted(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(malcev, "group_commutator", counted)
+    rows = filtration_report(FreeGroup(2, 6), 6)
+    assert [r["rank"] for r in rows] == [2, 1, 2, 3, 6, 9]
+    assert len(calls) == sum(2 ** m for m in range(2, 7)) == 124
