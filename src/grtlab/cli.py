@@ -96,12 +96,11 @@ def _rows_table(rows, columns) -> str:
 # ---------------------------------------------------------------------
 
 def _cmd_lie_dim(args):
-    if args.generator_degrees:
-        gens = [int(t) for t in args.generator_degrees.split(",") if t]
-        dims = weighted_witt_dims(gens, args.degree)
+    if args.generator_degrees is not None:
+        dims = weighted_witt_dims(args.generator_degrees, args.degree)
         rows = [{"degree": n, "dim": dims.get(n, 0)}
                 for n in range(1, args.degree + 1)]
-        return ({"generator_degrees": gens, "rows": rows},
+        return ({"generator_degrees": args.generator_degrees, "rows": rows},
                 _rows_table(rows, ("degree", "dim")))
     d = witt_dim(args.letters, args.degree)
     return ({"letters": args.letters, "degree": args.degree, "dim": d},
@@ -302,7 +301,7 @@ def _lie_verbs(lie) -> None:
     p = _verb(lie, "dim", _cmd_lie_dim, help="graded dimension counts")
     p.add_argument("--letters", type=int, default=2)
     p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--generator-degrees",
+    p.add_argument("--generator-degrees", type=_int_list,
                    help="comma list; switches to weighted dimensions")
     p = _verb(lie, "lyndon", _cmd_lie_lyndon, help="list basis words")
     p.add_argument("--alphabet", default="x y")

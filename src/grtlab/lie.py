@@ -143,10 +143,6 @@ class LieElement(_SparseVector):
                 f"element mixes degrees {sorted(degrees)}")
         return degrees.pop()
 
-    def max_degree(self) -> int:
-        return max((self.alphabet.word_degree(w) for w in self.terms),
-                   default=0)
-
     # -- coordinates -------------------------------------------------
 
     def coordinates(self, degree: int) -> list:
@@ -154,11 +150,6 @@ class LieElement(_SparseVector):
         respect to the lex-ordered Lyndon basis in that degree."""
         basis = _lyndon_tuples(self.alphabet.degrees, degree)
         return [self.terms.get(w, 0) for w in basis]
-
-    def support(self) -> list[LyndonWord]:
-        return [LyndonWord(self.alphabet, w)
-                for w in sorted(self.terms,
-                                key=lambda w: (self.alphabet.word_degree(w), w))]
 
     def __repr__(self) -> str:
         return f"LieElement({lie_to_string(self)})"

@@ -335,12 +335,12 @@ def _mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
-def smith_normal_form(m, check: bool = True) -> SNFResult:
+def smith_normal_form(m) -> SNFResult:
     """Smith normal form of an integer matrix by gcd-reduction pivoting.
 
-    With ``check`` the factorization U A V = D is re-multiplied and
-    verified before returning; unimodularity holds by construction since
-    U and V are products of swaps, sign flips, and shear rows/columns.
+    The factorization U A V = D is re-multiplied and verified before
+    returning; unimodularity holds by construction since U and V are
+    products of swaps, sign flips, and shear rows/columns.
     """
     A = [[int(x) for x in row] for row in _dense_rows(m)]
     for row, orig in zip(A, _dense_rows(m)):
@@ -424,16 +424,15 @@ def smith_normal_form(m, check: bool = True) -> SNFResult:
             A[i] = [-x for x in A[i]]
             U[i] = [-x for x in U[i]]
     result = SNFResult(U=U, D=A, V=V)
-    if check:
-        got = _mat_mul(_mat_mul(result.U, [[int(x) for x in row]
-                                           for row in _dense_rows(m)]),
-                       result.V)
-        if got != result.D:
-            raise AssertionError("Smith normal form verification failed")
-        inv = result.invariants
-        for a, b in zip(inv, inv[1:]):
-            if b % a:
-                raise AssertionError("divisibility chain broken")
+    got = _mat_mul(_mat_mul(result.U, [[int(x) for x in row]
+                                       for row in _dense_rows(m)]),
+                   result.V)
+    if got != result.D:
+        raise AssertionError("Smith normal form verification failed")
+    inv = result.invariants
+    for a, b in zip(inv, inv[1:]):
+        if b % a:
+            raise AssertionError("divisibility chain broken")
     return result
 
 

@@ -8,11 +8,13 @@ tensor algebra and send each word to its left-normed bracketing divided
 by its length.  An independent route (triangular projection onto the
 Lyndon basis) double-checks it in the tests.
 
-The filtration half of the module turns iterated group commutators of a
-generating set into graded integer lattices, one per degree, and reads
-the torsion of their saturations off the Smith normal form: that torsion
-is exactly the gap between the lower central series and its
-torsion-isolated refinement.
+The filtration half of the module turns a generating set into graded
+integer lattices, one per degree, and reads the torsion of their
+saturations off the Smith normal form: that torsion is exactly the gap
+between the lower central series and its torsion-isolated refinement.
+Since log(a b a^-1 b^-1) is [log a, log b] plus terms of higher degree,
+the degree-m lattice is spanned by m-fold brackets of the generators'
+degree-1 parts, provided those parts are linearly independent.
 """
 
 from __future__ import annotations
@@ -207,8 +209,12 @@ class LatticeTimesCyclic:
 
 class SubgroupOfNilpotent:
     """Subgroup of a truncated free nilpotent group, given by the
-    logarithms of its generators (all over one alphabet and class, with
-    integer degree-1 coordinates so the graded spans are lattices)."""
+    logarithms of its generators (all over one alphabet and class).
+
+    :func:`filtration_report` needs integer degree-1 coordinates, so the
+    graded spans are lattices, and linearly independent degree-1 parts.
+    The second condition is conservative: it also refuses a repeated
+    generator, which leaves the subgroup unchanged."""
 
     def __init__(self, generators):
         gens = tuple(generators)
@@ -231,34 +237,25 @@ def _free_alphabet(k: int) -> GradedAlphabet:
     return GradedAlphabet(" ".join(f"x{i}" for i in range(1, k + 1)))
 
 
-def _commutator_levels(gens, top: int) -> list[list[NilpotentElement]]:
-    """The left-normed m-fold group commutators of the generators for
-    m = 1..top, level m at index m - 1.  Level 1 is the generators and
-    level m is [c, g] for c in level m - 1 and g in ``gens``, so each
-    commutator is formed once, from its parent, and every level comes in
-    the lexicographic order of its generator index tuples."""
-    levels = [list(gens)]
+def _commutator_levels(gens, top: int) -> list[list[LieElement]]:
+    """The left-normed m-fold brackets of the generators' degree-1 parts
+    for m = 1..top, level m at index m - 1.  Level m is [c, g] for c in
+    level m - 1 and g in level 1, so each bracket is formed once and every
+    level comes in the lexicographic order of its generator index tuples."""
+    levels = [[g.value.component(1) for g in gens]]
     for _ in range(1, top):
-        levels.append([group_commutator(c, g)
-                       for c in levels[-1] for g in gens])
+        levels.append([bracket(c, g) for c in levels[-1] for g in levels[0]])
     return levels
 
 
-def _graded_rows(elements, alphabet: GradedAlphabet, m: int) -> list[list[int]]:
-    """Integer degree-m coordinate rows of the given group elements."""
-    rows = []
-    for e in elements:
-        coords = e.value.component(m).coordinates(m)
-        ints = []
-        for c in coords:
-            f = Fraction(c)
-            if f.denominator != 1:
-                raise UnsupportedFamilyError(
-                    "graded span is not an integer lattice; the report "
-                    "is defined for integral generator logarithms")
-            ints.append(int(f))
-        rows.append(ints)
-    return rows
+def _graded_rows(elements, m: int) -> list[list[int]]:
+    """Integer degree-m coordinate rows of homogeneous Lie elements."""
+    rows = [e.coordinates(m) for e in elements]
+    if any(Fraction(c).denominator != 1 for row in rows for c in row):
+        raise UnsupportedFamilyError(
+            "graded span is not an integer lattice; the report "
+            "is defined for integral generator logarithms")
+    return [[int(c) for c in row] for row in rows]
 
 
 def _lattice_row(m: int, rows: list[list[int]], ambient: int) -> dict:
@@ -278,11 +275,15 @@ def filtration_report(family, max_m: int) -> list[dict]:
     ``torsion`` is the torsion of the saturated graded piece, empty by
     construction.
 
-    The commutators are built once, as one tree: each m-fold commutator
-    extends an (m-1)-fold one by a generator, so k generators cost
-    k^2 + ... + k^c group commutators up to class c (124 for two
-    generators at class 6).  The BCH series behind them comes from
-    tensor exp and log that never form terms above the class.
+    The lattices come from Lie brackets, not from the group law: the
+    logarithm of a b a^-1 b^-1 is [log a, log b] plus terms of degree at
+    least deg a + deg b + 1, so the degree-m part of a left-normed m-fold
+    group commutator is the left-normed bracket of the generators'
+    degree-1 parts, and their higher terms never reach a lattice.  Each
+    bracket extends one from level m - 1 (124 for two generators at
+    class 6).  Level m is read in degree m, which misses any element whose
+    logarithm starts above degree 1, so generators whose degree-1 parts
+    are linearly dependent raise :class:`UnsupportedFamilyError`.
     """
     if max_m < 1:
         raise PreconditionError("max_m must be >= 1")
@@ -305,8 +306,13 @@ def filtration_report(family, max_m: int) -> list[dict]:
             if ambient == 0 or m > family.cls:
                 out.append({"m": m, "rank": 0, "torsion": [], "d_mod_l": []})
                 continue
-            rows = _graded_rows(levels[m - 1], family.alphabet, m)
+            rows = _graded_rows(levels[m - 1], m)
             out.append(_lattice_row(m, rows, ambient))
+        if out[0]["rank"] < len(family.generators):
+            raise UnsupportedFamilyError(
+                "the report needs generators whose degree-1 parts are "
+                "linearly independent; level m is read in degree m and "
+                "misses elements whose logarithm starts above degree 1")
         return out
     if isinstance(family, LatticeTimesCyclic):
         # Abelian: L^2 is trivial, and the level-2 gap is exactly the

@@ -38,6 +38,10 @@ def test_exit_one_usage():
              "--params", "2,x"])                    # not an integer
     assert r.status == 1
     assert "'x'" in r.rendering and "--params" in r.rendering
+    r = run(["lie", "dim", "--degree", "3",
+             "--generator-degrees", "1,x"])        # not an integer
+    assert r.status == 1
+    assert "'x'" in r.rendering and "--generator-degrees" in r.rendering
 
 
 def test_exit_two_syntax():
@@ -57,6 +61,11 @@ def test_exit_three_precondition():
     assert run(["malcev", "filtration", "--family", "Nonsense"]).status == 3
     assert run(["malcev", "filtration", "--family", "FreeGroup",
                 "--params", "2"]).status == 3                 # arity
+    r = run(["malcev", "filtration", "--family", "SubgroupOfNilpotent",
+             "--class", "4", "--alphabet", "a:1 b:2",
+             "--generator", "a", "--generator", "b"])
+    assert r.status == 3                     # dependent degree-1 parts
+    assert "independent" in r.rendering
 
 
 def test_lie_commands():

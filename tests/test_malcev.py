@@ -248,8 +248,18 @@ def test_filtration_rejects_bad_input():
     # non-integral logarithm has no graded lattice
     x = LieElement.generator(XY, "x")
     half = NilpotentElement(x.scale(Fraction(1, 2)), 2)
-    with pytest.raises(UnsupportedFamilyError):
+    with pytest.raises(UnsupportedFamilyError, match="integer lattice"):
         filtration_report(SubgroupOfNilpotent([half]), 1)
+    # dependent degree-1 parts: b has degree 2, and [x,y] has none
+    ab = GradedAlphabet("a:1 b:2")
+    weighted = [NilpotentElement(LieElement.generator(ab, name), 4)
+                for name in ("a", "b")]
+    with pytest.raises(UnsupportedFamilyError, match="independent"):
+        filtration_report(SubgroupOfNilpotent(weighted), 4)
+    starts_high = [NilpotentElement(parse_lie(text, XY), 3)
+                   for text in ("[x,y]", "x")]
+    with pytest.raises(UnsupportedFamilyError, match="independent"):
+        filtration_report(SubgroupOfNilpotent(starts_high), 3)
     # mixed classes cannot generate one subgroup
     with pytest.raises(UnsupportedFamilyError):
         SubgroupOfNilpotent([NilpotentElement(x, 2),
@@ -280,28 +290,50 @@ def _free_generators(k, cls):
 def test_commutator_levels_match_reference():
     higher = [NilpotentElement(parse_lie(text, XY), 4)
               for text in ("x + [x,y]", "2*y - [x,[x,y]]")]
+    # seeded class-5 generators whose terms above degree 1 are rational
+    rng = random.Random(20261018)
+    rational = []
+    for _ in range(2):
+        value = _random_group_element(rng, 5, nonzero_degree_one=True).value
+        linear = value.component(1)
+        rational.append(NilpotentElement(
+            linear + (value - linear).scale(Fraction(1, 6)), 5))
+    assert any(Fraction(c).denominator != 1
+               for g in rational for c in g.value.terms.values())
     for gens, top in ((_free_generators(2, 5), 5),
                       (_free_generators(3, 4), 4),
-                      (higher, 4)):
+                      (higher, 4),
+                      (rational, 5)):
         levels = _commutator_levels(gens, top)
         assert len(levels) == top
         for m, level in enumerate(levels, start=1):
-            assert level == _reference_iterated_commutators(gens, m)
-    # the higher-degree terms reach the lattices: index 2 in every level
+            assert level == [c.value.component(m) for c in
+                             _reference_iterated_commutators(gens, m)]
+    # index 2 in every level comes from the generator 2*y
     rows = filtration_report(SubgroupOfNilpotent(higher), 4)
     assert [r["rank"] for r in rows] == [2, 1, 2, 3]
     assert all(r["d_mod_l"] for r in rows)
 
 
+def test_filtration_avoids_the_group_law(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("filtration_report used the group law")
+
+    monkeypatch.setattr(malcev, "group_commutator", refuse)
+    monkeypatch.setattr(malcev, "bch", refuse)
+    rows = filtration_report(FreeGroup(2, 6), 6)
+    assert [r["rank"] for r in rows] == [2, 1, 2, 3, 6, 9]
+
+
 def test_filtration_forms_each_commutator_once(monkeypatch):
     calls = []
-    real = malcev.group_commutator
+    real = malcev.bracket
 
-    def counted(a, b):
+    def counted(a, b, *args, **kwargs):
         calls.append(1)
-        return real(a, b)
+        return real(a, b, *args, **kwargs)
 
-    monkeypatch.setattr(malcev, "group_commutator", counted)
+    monkeypatch.setattr(malcev, "bracket", counted)
     rows = filtration_report(FreeGroup(2, 6), 6)
     assert [r["rank"] for r in rows] == [2, 1, 2, 3, 6, 9]
     assert len(calls) == sum(2 ** m for m in range(2, 7)) == 124
