@@ -16,9 +16,9 @@ from .lie import (AssocPoly, LieElement, bracket, expand_assoc,
                   from_coordinates, lie_to_string, project_lyndon,
                   substitute)
 from .parsing import parse_lie
-from .linalg import (RatMatrix, in_row_space, kernel_basis, kernel_dim,
-                     kernel_dim_mod, quotient_invariants, rank, rank_mod,
-                     reduced_echelon, smith_normal_form)
+from .linalg import (in_row_space, kernel_basis, kernel_dim, kernel_dim_mod,
+                     quotient_invariants, rank, rank_mod, reduced_echelon,
+                     smith_normal_form)
 from .derivations import (Derivation, XY, X, Y, der_bracket,
                           derivation_from_coordinates,
                           derivation_space_dim, inner, inner_matrix,

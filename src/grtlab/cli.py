@@ -58,10 +58,6 @@ def _jsonify(obj):
     return str(obj)
 
 
-def _alphabet(text: str) -> GradedAlphabet:
-    return GradedAlphabet(text)
-
-
 def _int_list(text: str) -> list[int]:
     """A comma-separated list of integers; a token that is not one is a
     usage error that names it."""
@@ -108,7 +104,7 @@ def _cmd_lie_dim(args):
 
 
 def _cmd_lie_lyndon(args):
-    alph = _alphabet(args.alphabet)
+    alph = GradedAlphabet(args.alphabet)
     words = lyndon_words(alph, args.degree)
     texts = [str(w) for w in words]
     return ({"alphabet": args.alphabet, "degree": args.degree,
@@ -122,7 +118,7 @@ def _element_payload(e: LieElement) -> dict:
 
 
 def _cmd_lie_bracket(args):
-    alph = _alphabet(args.alphabet)
+    alph = GradedAlphabet(args.alphabet)
     a = parse_lie(args.left, alph)
     b = parse_lie(args.right, alph)
     out = bracket(a, b, args.max_degree)
@@ -130,7 +126,7 @@ def _cmd_lie_bracket(args):
 
 
 def _cmd_lie_parse(args):
-    alph = _alphabet(args.alphabet)
+    alph = GradedAlphabet(args.alphabet)
     e = parse_lie(args.expression, alph)
     payload = _element_payload(e)
     degrees = sorted(e.graded_components())
@@ -141,7 +137,7 @@ def _cmd_lie_parse(args):
 
 
 def _cmd_lie_expand(args):
-    alph = _alphabet(args.alphabet)
+    alph = GradedAlphabet(args.alphabet)
     e = parse_lie(args.expression, alph)
     p = expand_assoc(e)
     items = sorted((alph.word_str(w), c) for w, c in p.terms.items())
@@ -240,7 +236,7 @@ def _cmd_motivic_image(args):
 
 
 def _cmd_malcev_bch(args):
-    alph = _alphabet(args.alphabet)
+    alph = GradedAlphabet(args.alphabet)
     a = malcev.NilpotentElement(parse_lie(args.left, alph), args.cls)
     b = malcev.NilpotentElement(parse_lie(args.right, alph), args.cls)
     out = malcev.bch(a, b)
@@ -250,7 +246,7 @@ def _cmd_malcev_bch(args):
 
 
 def _cmd_malcev_word(args):
-    alph = _alphabet(args.alphabet)
+    alph = GradedAlphabet(args.alphabet)
     out = malcev.word_to_group(args.word, alph, args.cls)
     payload = _element_payload(out.value)
     payload["class"] = args.cls
@@ -272,7 +268,7 @@ def _cmd_malcev_filtration(args):
         if not args.generator:
             raise GrtError(
                 "SubgroupOfNilpotent needs at least one --generator")
-        alph = _alphabet(args.alphabet)
+        alph = GradedAlphabet(args.alphabet)
         gens = [malcev.NilpotentElement(parse_lie(g, alph), args.cls)
                 for g in args.generator]
         family_obj = malcev.SubgroupOfNilpotent(gens)
@@ -415,7 +411,7 @@ def run(argv: list[str]) -> CommandResult:
         return CommandResult(USAGE_EXIT, {"error": str(e)}, str(e))
     except LieSyntaxError as e:
         return CommandResult(PARSE_EXIT, {"error": str(e)}, str(e))
-    except (GrtError, ValueError) as e:
+    except GrtError as e:
         return CommandResult(PRECONDITION_EXIT, {"error": str(e)}, str(e))
 
 

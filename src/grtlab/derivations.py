@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import InhomogeneousError
+from .errors import (AlphabetMismatchError, InhomogeneousError,
+                     PreconditionError)
 from .lie import (LieElement, _bracket_into, _merge_scaled, bracket,
                   from_coordinates)
 from .words import (GradedAlphabet, lyndon_words, witt_dim,
@@ -45,7 +46,8 @@ class Derivation:
                  degree: int | None = None):
         for img in (image_x, image_y):
             if img.alphabet != XY:
-                raise ValueError("derivations act on the x,y algebra")
+                raise AlphabetMismatchError(
+                    "derivations act on the x,y algebra")
         degs = {img.homogeneous_degree() for img in (image_x, image_y)}
         degs.discard(None)
         if len(degs) > 1:
@@ -54,7 +56,7 @@ class Derivation:
         if degs:
             inferred = degs.pop() - 1
             if degree is not None and degree != inferred:
-                raise ValueError(
+                raise PreconditionError(
                     f"stated degree {degree} but images have degree "
                     f"{inferred + 1}")
             degree = inferred
@@ -81,7 +83,7 @@ class Derivation:
     def apply(self, e: LieElement) -> LieElement:
         """Extend through the Leibniz rule and evaluate at ``e``."""
         if e.alphabet != XY:
-            raise ValueError("derivations act on the x,y algebra")
+            raise AlphabetMismatchError("derivations act on the x,y algebra")
         acc: dict = {}
         for w, c in e.terms.items():
             _merge_scaled(acc, self._on_word(w), c)
@@ -146,7 +148,7 @@ def derivation_space_dim(n: int) -> int:
     """Dimension of the space of degree-n derivations: one free choice
     of degree-(n+1) image per generator."""
     if n < 1:
-        raise ValueError("graded pieces start at degree 1 here")
+        raise PreconditionError("graded pieces start at degree 1 here")
     return 2 * witt_dim(2, n + 1)
 
 
@@ -157,7 +159,7 @@ def outder_dim(n: int) -> int:
     v = 0 in a free algebra of rank two), so the count is
     2 * witt(2, n+1) - witt(2, n)."""
     if n < 1:
-        raise ValueError("outder_dim is defined for degree >= 1")
+        raise PreconditionError("outder_dim is defined for degree >= 1")
     return derivation_space_dim(n) - witt_dim(2, n)
 
 
@@ -167,7 +169,7 @@ def inner_matrix(n: int) -> list[list]:
     coordinates.  Exposed so callers can check injectivity/surjectivity
     degree by degree rather than trust the closed formula."""
     if n < 1:
-        raise ValueError("inner_matrix is defined for degree >= 1")
+        raise PreconditionError("inner_matrix is defined for degree >= 1")
     cols = []
     for w in lyndon_words(XY, n):
         cols.append(inner(LieElement.from_word(w)).coordinates())
@@ -180,7 +182,8 @@ def derivation_from_coordinates(n: int, vector: Sequence) -> Derivation:
     dim = witt_dim(2, n + 1)
     vector = list(vector)
     if len(vector) != 2 * dim:
-        raise ValueError(f"expected {2 * dim} coordinates in degree {n}")
+        raise PreconditionError(
+            f"expected {2 * dim} coordinates in degree {n}")
     return Derivation(from_coordinates(XY, n + 1, vector[:dim]),
                       from_coordinates(XY, n + 1, vector[dim:]),
                       degree=n)

@@ -3,6 +3,8 @@
 Everything raised deliberately by grtlab derives from :class:`GrtError`,
 so callers (and the CLI) can distinguish precondition violations from
 genuine bugs, which surface as ordinary ``AssertionError``/``TypeError``.
+The one exception is the ``ValueError`` of the matrix-shape checks in
+``linalg``: the CLI never hands them a user's matrix, so it is a bug too.
 """
 
 
@@ -11,9 +13,10 @@ class GrtError(Exception):
 
 
 class PreconditionError(GrtError, ValueError):
-    """An argument is outside the range an operation is defined on (a
-    degree, modulus or cap too small).  It is a ``ValueError`` too, so
-    callers that catch that keep working."""
+    """An argument is outside the range an operation is defined on: a
+    degree, modulus or cap too small, a modulus that is not prime, a
+    malformed alphabet or coordinate vector.  It is a ``ValueError`` too,
+    so callers that catch that keep working."""
 
 
 class AlphabetMismatchError(GrtError):

@@ -19,6 +19,7 @@ model, so the 5-cycle sum is a finite exact computation.
 
 The 5-cycle cut is made in a quotient of that model and certified exact
 by a lower bound from the degrees below (see :func:`five_cycle_route`).
+:func:`special_dim_mod` runs the same stages over GF(p).
 
 Each f in D_n determines the derivation D_f with D_f(x) = 0 and
 D_f(y) = [y, f]; the space of all D_f closes under the bracket
@@ -40,9 +41,9 @@ from .errors import (DegenerateLeadingTermError, NotOneDimensionalError,
 from .lie import (LieElement, _bracket_graded, _bracket_into, _merge_scaled,
                   _split_by, _word_images, bracket, from_coordinates,
                   lie_to_string)
-from .linalg import (FullRankSolver, _echelon, _kernel_of_echelon, _reduce,
-                     _sparse, kernel_basis, kernel_dim_mod, rank,
-                     reduced_echelon)
+from .linalg import (FullRankSolver, _canonical, _check_prime, _echelon,
+                     _kernel, _kernel_of_echelon, _reduce, _rows_of, _sparse,
+                     rank)
 from .motivic import image_model_dims
 from .words import _lyndon_tuples, _std_factorization
 
@@ -226,29 +227,32 @@ def _pentagon_rows(n: int, elements: Sequence[Mapping], cap) -> list[dict]:
     return out
 
 
-def _five_cycle_echelon(n: int, hexes, cap) -> tuple:
-    """Reduced echelon form (sparse rows, pivots) of the matrix whose
-    columns are the 5-cycle sums of ``hexes`` within the budget ``cap``,
-    one row per fiber word that occurs."""
+def _five_cycle_echelon(n: int, hexes, cap, p=None) -> tuple:
+    """Reduced echelon form (sparse rows, pivots), over GF(p) when ``p``
+    is given, of the matrix whose columns are the 5-cycle sums of
+    ``hexes`` within the budget ``cap``, one row per fiber word."""
     rows: dict = {}
     for j, col in enumerate(_pentagon_rows(n, [f.terms for f in hexes],
                                            cap)):
         for v, c in col.items():
             rows.setdefault(v, {})[j] = c
-    return _echelon(list(rows.values()), reduced=True)
+    sparse = (_sparse(row, p) for row in rows.values())
+    return _echelon([row for row in sparse if row], p, reduced=True)
 
 
-def _cut(n: int, hexes, cap) -> tuple:
+def _cut(n: int, hexes, cap, p=None) -> tuple:
     """The hex elements whose 5-cycle sums vanish within the budget
     ``cap``, as (basis, rows, pivots): the canonical basis (reduced
     echelon form over the degree-n Lyndon coordinates, primitive
-    integral, leading entry positive), the same rows made sparse, and
-    their pivot columns."""
-    combos = _kernel_of_echelon(*_five_cycle_echelon(n, hexes, cap),
+    integral, leading entry positive; over GF(p), monic residues), the
+    same rows made sparse, and their pivot columns."""
+    combos = _kernel_of_echelon(*_five_cycle_echelon(n, hexes, cap, p),
                                 len(hexes))
-    dense = reduced_echelon([f.coordinates(n)
-                             for f in _combine(combos, hexes)])
-    rows = tuple(_sparse(row) for row in dense)
+    rows, d = _rows_of([f.coordinates(n)
+                        for f in _combine(combos, hexes, p)], p)
+    dense = [_canonical(row, d)
+             for row in _echelon(rows, p, reduced=True)[0]]
+    rows = tuple(_sparse(row, p) for row in dense)
     return (tuple(from_coordinates(XY, n, row) for row in dense), rows,
             tuple(min(row) for row in rows))
 
@@ -328,39 +332,42 @@ def _symmetry_rows(f: LieElement, n: int) -> list:
 
 
 @functools.lru_cache(maxsize=None)
-def _hex_pairs(n: int) -> tuple:
-    """Basis of the hex space: the f satisfying special, 2-cycle and
-    3-cycle, before the 5-cycle cut, from the f halves of the special-pair
-    kernel.  The name is kept, though entries are no longer (f, u) pairs,
-    because the benchmark hooks it (``perfbench/spans.py``)."""
+def _hex_pairs(n: int, p: int | None = None) -> tuple:
+    """Basis of the hex space, over GF(p) when ``p`` is given: the f
+    satisfying special, 2-cycle and 3-cycle, before the 5-cycle cut, from
+    the f halves of the special-pair kernel.  The name is kept, though
+    entries are no longer (f, u) pairs, because the benchmark hooks it
+    (``perfbench/spans.py``)."""
     d = len(_lyndon_tuples((1, 1), n))
     specials = [from_coordinates(XY, n, v[:d])
-                for v in kernel_basis(_special_pair_matrix(n))]
+                for v in _kernel(_special_pair_matrix(n), p)]
     if not specials:
         return ()
     cond = [_symmetry_rows(f, n) for f in specials]
-    return tuple(_combine(kernel_basis([list(col) for col in zip(*cond)]),
-                          specials))
+    return tuple(_combine(_kernel([list(col) for col in zip(*cond)], p),
+                          specials, p))
 
 
-def _combine(combos, elements) -> list:
-    """The elements sum_j t_j elements[j], one per coefficient vector t."""
+def _combine(combos, elements, p=None) -> list:
+    """The elements sum_j t_j elements[j], one per coefficient vector t,
+    made primitive, or reduced mod p when ``p`` is given."""
     out = []
     for t in combos:
         f: dict = {}
         for tj, fj in zip(t, elements):
             _merge_scaled(f, fj.terms, tj)
-        out.append(LieElement(XY, f))
+        out.append(LieElement(XY, _sparse(f, p)))
     return out
 
 
 @functools.lru_cache(maxsize=None)
-def _stable_pairs(n: int) -> tuple:
+def _stable_pairs(n: int, p: int | None = None) -> tuple:
     """D_n as (basis, rows, pivots, route): its canonical basis, the same
     basis as sparse reduced echelon rows with their pivot columns (see
-    :func:`_cut`), and the route that decided the 5-cycle cut.  The name
-    is kept, though no witnesses are carried, because the benchmark hooks
-    it (``perfbench/spans.py``).
+    :func:`_cut`), and the route that decided the 5-cycle cut.  With a
+    prime ``p`` every stage runs over GF(p) instead (see
+    :func:`special_dim_mod`).  The name is kept, though no witnesses are
+    carried, because the benchmark hooks it (``perfbench/spans.py``).
 
     The cut is first made in the a1-degree <= 1 quotient of the fiber (see
     the notes above the 5-cycle code).  The quotient map sends the full
@@ -382,29 +389,31 @@ def _stable_pairs(n: int) -> tuple:
     """
     if n < 2:
         return (), (), (), None
-    hexes = _hex_pairs(n)
+    hexes = _hex_pairs(n, p)
     # The evaluator skips the base part, f + f(y, x); it must vanish here.
     d = len(_lyndon_tuples((1, 1), n))
-    if any(any(_symmetry_rows(f, n)[:d]) for f in hexes):
+    if any(_sparse(_symmetry_rows(f, n)[:d], p) for f in hexes):
         raise AssertionError(
             "5-cycle base component failed to cancel on a 2-cycle "
             "symmetric element")
-    cut, route = _cut(n, hexes, _A1_CAP), "bounds"
-    bound, dim_q = _lower_bound(n, cut), len(cut[0])
+    cut, route = _cut(n, hexes, _A1_CAP, p), "bounds"
+    bound, dim_q = _lower_bound(n, cut, p), len(cut[0])
     if bound > dim_q:
         raise AssertionError(
             f"degree {n}: lower bound {bound} exceeds the dimension {dim_q} "
             "of the quotient cut")
     if bound < dim_q:
-        cut, route = _cut(n, hexes, None), "full"
+        cut, route = _cut(n, hexes, None, p), "full"
     return (*cut, route)
 
 
-def _lower_bound(n: int, cut) -> int:
+def _lower_bound(n: int, cut, p=None) -> int:
     """dim B_n, plus 1 in odd degree n >= 3: a lower bound on dim D_n (see
-    :func:`_stable_pairs`).  Each bracket in B_n must lie in the quotient
-    cut K_q, given as :func:`_cut` returns it, and have no x^(n-1) y term;
-    a bracket that does not is a bug, and raises AssertionError."""
+    :func:`_stable_pairs`), a rank over the rationals whatever ``p`` is.
+    Each bracket in B_n must lie in the quotient cut K_q, given as
+    :func:`_cut` returns it (over GF(p) for a prime ``p``), and have no
+    x^(n-1) y term; a bracket that does not is a bug, and raises
+    AssertionError."""
     _, rows, pivots = cut
     depth1 = (0,) * (n - 1) + (1,)
     span = []
@@ -415,7 +424,7 @@ def _lower_bound(n: int, cut) -> int:
                 b = ihara_bracket(f, g, verify=False)
                 coords = b.coordinates(n)
                 if (b.terms.get(depth1)
-                        or _reduce(_sparse(coords), rows, pivots)):
+                        or _reduce(_sparse(coords, p), rows, pivots, p)):
                     raise AssertionError(
                         f"bracket of degrees {a} and {n - a} lies outside "
                         "the 5-cycle cut")
@@ -498,33 +507,19 @@ def is_stable(f: LieElement, check_five_cycle: bool = True) -> bool:
     return True
 
 
-def _stacked_condition_matrix(n: int):
-    """All four condition blocks as one integer matrix over (f, u)
-    coordinates.  Its kernel is {(f, u) : f in D_n}; intended for
-    modest degrees, where it feeds the modular cross-check."""
-    basis = _lyndon_tuples((1, 1), n)
-    d = len(basis)
-    fiber_basis = _lyndon_tuples((1, 1, 1), n)
-    fibers = _pentagon_rows(n, [{w: 1} for w in basis], None)
-    cols = [_symmetry_rows(LieElement(XY, {w: 1}), n)
-            + [fib.get(v, 0) for v in fiber_basis]
-            for w, fib in zip(basis, fibers)]
-    return ([list(r) for r in _special_pair_matrix(n)]
-            + [list(row) + [0] * d for row in zip(*cols)])
-
-
 def special_dim_mod(n: int, p: int) -> int:
-    """dim of the stable pair space computed entirely mod p.
-
-    Over the rationals this equals :func:`special_dim` for n >= 2; a
-    random prime giving a different answer would flag an integrality
-    defect in the condition matrix.
-    """
+    """dim D_n by the stages of :func:`special_dim`, each over GF(p), for
+    a prime p below 2^64.  The quotient cut mod p is certified by the
+    number from :func:`_lower_bound`, a rank over the rationals from the
+    lower degrees, never by dim D_n itself: the integer kernel of the full
+    conditions is a saturated lattice, so dim K_q mod p >= dim K_full mod
+    p >= dim D_n >= the bound, and equality with the bound makes them all
+    equal.  Otherwise the full fiber cuts, which gives dim D_n except at
+    the finitely many primes where the conditions lose rank mod p."""
     if n < 2:
         raise PreconditionError("modular route is defined for degree >= 2")
-    if p < 2:
-        raise PreconditionError("p must be a prime >= 2")
-    return kernel_dim_mod(_stacked_condition_matrix(n), p)
+    _check_prime(p)
+    return len(_stable_pairs(n, p)[0])
 
 
 # ---------------------------------------------------------------------

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
 from .errors import (AlphabetMismatchError, InhomogeneousError,
-                     NotALiePolynomialError)
+                     NotALiePolynomialError, PreconditionError)
 from .words import (GradedAlphabet, LyndonWord, Word, _lyndon_tuples,
                     _std_factorization, is_lyndon)
 
@@ -164,7 +164,7 @@ def from_coordinates(alphabet: GradedAlphabet, degree: int,
     basis = _lyndon_tuples(alphabet.degrees, degree)
     vector = list(vector)
     if len(vector) != len(basis):
-        raise ValueError(
+        raise PreconditionError(
             f"expected {len(basis)} coordinates in degree {degree}, "
             f"got {len(vector)}")
     return LieElement(alphabet, dict(zip(basis, vector)))
@@ -274,7 +274,7 @@ def substitute(f: LieElement, images: Iterable[LieElement],
     """
     imgs = tuple(images)
     if not imgs:
-        raise ValueError("need at least one image")
+        raise PreconditionError("need at least one image")
     target = imgs[0].alphabet
     if any(img.alphabet != target for img in imgs):
         raise AlphabetMismatchError("substitution images over different "

@@ -9,10 +9,6 @@ taken in column order, and kernel vectors and echelon rows come out
 primitive integral with the first nonzero entry positive, which makes
 every routine's output canonical.  The Smith normal form is a separate
 algorithm on dense integer rows.
-
-A thin :class:`RatMatrix` container carries the JSON representation
-(entries as exact ``"p/q"`` strings); the algorithms accept either a
-``RatMatrix`` or a bare list of rows.
 """
 
 from __future__ import annotations
@@ -23,40 +19,13 @@ from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-
-@dataclass
-class RatMatrix:
-    """A dense matrix of exact rationals with its shape made explicit."""
-
-    rows: int
-    cols: int
-    entries: list[list[Fraction]]
-
-    @staticmethod
-    def from_rows(entries: Sequence[Sequence]) -> "RatMatrix":
-        data = [[Fraction(x) for x in row] for row in entries]
-        cols = len(data[0]) if data else 0
-        if any(len(row) != cols for row in data):
-            raise ValueError("ragged rows")
-        return RatMatrix(len(data), cols, data)
-
-    def to_json(self) -> dict:
-        return {"rows": self.rows, "cols": self.cols,
-                "entries": [[str(x) for x in row] for row in self.entries]}
-
-    @staticmethod
-    def from_json(obj: dict) -> "RatMatrix":
-        m = RatMatrix.from_rows([[Fraction(s) for s in row]
-                                 for row in obj["entries"]])
-        if (m.rows, m.cols) != (obj["rows"], obj["cols"]):
-            raise ValueError("matrix shape disagrees with entries")
-        return m
+from .errors import PreconditionError
 
 
 def _dense_rows(m) -> list:
-    """The rows of m, a :class:`RatMatrix` or a list of rows; raises on
-    ragged rows.  The rows themselves are not copied."""
-    rows = m.entries if isinstance(m, RatMatrix) else list(m)
+    """The rows of m, a list of rows; raises on ragged rows.  The rows
+    themselves are not copied."""
+    rows = list(m)
     if rows:
         cols = len(rows[0])
         if any(len(r) != cols for r in rows):
@@ -64,11 +33,12 @@ def _dense_rows(m) -> list:
     return rows
 
 
-def _sparse(row: Sequence, p: int | None = None) -> dict:
-    """A dense row as {column: entry}: over the rationals (``p`` None)
-    scaled to a primitive integral vector, sign kept; over GF(p) reduced
-    to residues."""
-    out = {j: x for j, x in enumerate(row) if x}
+def _sparse(row, p: int | None = None) -> dict:
+    """A row, dense or a {column: entry} dict, as a new {column: entry}:
+    over the rationals (``p`` None) scaled to a primitive integral vector,
+    sign kept; over GF(p) reduced to residues."""
+    items = row.items() if isinstance(row, dict) else enumerate(row)
+    out = {j: x for j, x in items if x}
     if p is None:
         if any(type(x) is not int for x in out.values()):
             fracs = {j: Fraction(x) for j, x in out.items()}
@@ -207,8 +177,14 @@ def kernel_basis(m) -> list[list[int]]:
     nonzero entry positive; over the rationals this basis is canonical
     (it is the standard kernel basis of the reduced echelon form).
     """
-    rows, ncols = _rows_of(m)
-    return _kernel_of_echelon(*_echelon(rows, reduced=True), ncols)
+    return _kernel(m)
+
+
+def _kernel(m, p: int | None = None) -> list[list[int]]:
+    """:func:`kernel_basis`, or over GF(p) a kernel basis of integer
+    vectors whose residues mod p span the kernel there."""
+    rows, ncols = _rows_of(m, p)
+    return _kernel_of_echelon(*_echelon(rows, p, reduced=True), ncols)
 
 
 def _kernel_of_echelon(red: list[dict], pivots: list[int],
@@ -217,7 +193,8 @@ def _kernel_of_echelon(red: list[dict], pivots: list[int],
     its reduced echelon form (from :func:`_echelon` with ``reduced``),
     which is left unchanged.  Fraction-free: free column f gets x_f the
     lcm of the pivot entries e_ip of the rows i meeting column f, and
-    x_p = -e_if * (x_f / e_ip) on each such row."""
+    x_p = -e_if * (x_f / e_ip) on each such row.  Over GF(p) the pivot
+    rows are monic, so x_f = 1 and the vectors are residues up to sign."""
     meets: dict[int, list] = {}
     for row, p in zip(red, pivots):
         for f, e in row.items():
@@ -455,12 +432,32 @@ def quotient_invariants(rows: Iterable[Sequence[int]],
 # ---------------------------------------------------------------------------
 # modular checks
 
+#: Miller-Rabin with these bases decides primality exactly below 2^64.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _check_prime(p) -> None:
+    """Raise :class:`PreconditionError` unless p is a prime below 2^64."""
+    if not isinstance(p, int) or not 2 <= p < 1 << 64:
+        raise PreconditionError("p must be a prime below 2**64")
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, p)
+        if a % p and x != 1 and all(pow(x, 1 << i, p) != p - 1
+                                    for i in range(s)):
+            raise PreconditionError(f"p = {p} is not prime")
+
 
 def rank_mod(m, p: int) -> int:
-    """Rank over GF(p); p must be prime."""
+    """Rank over GF(p), for a prime p below 2^64."""
+    _check_prime(p)
     return len(_echelon(_rows_of(m, p)[0], p)[1])
 
 
 def kernel_dim_mod(m, p: int) -> int:
+    """Kernel dimension over GF(p), for a prime p below 2^64."""
+    _check_prime(p)
     rows, ncols = _rows_of(m, p)
     return ncols - len(_echelon(rows, p)[1])

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import PreconditionError
 from .words import weighted_witt_dims
 
 
@@ -31,11 +32,11 @@ class NumberFieldProfile:
 
     def __post_init__(self):
         if self.r1 < 0 or self.r2 < 0:
-            raise ValueError("place counts must be nonnegative")
+            raise PreconditionError("place counts must be nonnegative")
         if self.s_size < 1:
-            raise ValueError("s_size must be a positive integer")
+            raise PreconditionError("s_size must be a positive integer")
         if self.r1 + 2 * self.r2 < 1:
-            raise ValueError("r1 + 2*r2 must be at least 1")
+            raise PreconditionError("r1 + 2*r2 must be at least 1")
 
 
 #: The rational field with one finite place inverted; the profile behind
@@ -50,7 +51,7 @@ def dn(profile: NumberFieldProfile, n: int) -> int:
     odd degrees > 1 contribute r1 + r2, even degrees contribute r2.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise PreconditionError("n must be >= 1")
     if n == 1:
         return profile.r1 + profile.r2 + profile.s_size - 1
     if n % 2:
@@ -65,7 +66,7 @@ def ext_dim(profile: NumberFieldProfile, i: int, n: int) -> int:
     bidegree, including all i >= 2.
     """
     if i < 0:
-        raise ValueError("i must be >= 0")
+        raise PreconditionError("i must be >= 0")
     if (i, n) == (0, 0):
         return 1
     if i == 1 and n > 0:
@@ -78,7 +79,7 @@ def k_graded_dims(profile: NumberFieldProfile,
     """Graded dimensions of the free Lie algebra with dn(profile, n)
     generators in each degree n <= max_degree."""
     if max_degree < 1:
-        raise ValueError("max_degree must be >= 1")
+        raise PreconditionError("max_degree must be >= 1")
     gens: list[int] = []
     for n in range(1, max_degree + 1):
         gens.extend([n] * dn(profile, n))
@@ -94,7 +95,7 @@ def image_model_dims(max_degree: int) -> dict[int, int]:
     part inside the outer derivation algebra, and the comparison column
     of :func:`grtlab.ihara.freeness_table`."""
     if max_degree < 3:
-        raise ValueError("max_degree must be >= 3")
+        raise PreconditionError("max_degree must be >= 3")
     gens = list(range(3, max_degree + 1, 2))
     dims = weighted_witt_dims(gens, max_degree)
     return {n: dims.get(n, 0) for n in range(1, max_degree + 1)}

@@ -16,7 +16,7 @@ import functools
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
-from .errors import AtomicWordError
+from .errors import AtomicWordError, PreconditionError
 
 Word = tuple[int, ...]
 
@@ -42,23 +42,25 @@ class GradedAlphabet:
             for chunk in letters.split():
                 if ":" in chunk:
                     name, _, deg = chunk.partition(":")
-                    items.append((name, int(deg)))
+                    items.append((name, int(deg) if deg.isdecimal() else 0))
                 else:
                     items.append((chunk, 1))
         else:
             items = [(l, 1) if isinstance(l, str) else (l[0], int(l[1]))
                      for l in letters]
         if not items:
-            raise ValueError("alphabet must contain at least one letter")
+            raise PreconditionError(
+                "alphabet must contain at least one letter")
         names, degrees = zip(*items)
         if len(set(names)) != len(names):
-            raise ValueError("duplicate letter names")
+            raise PreconditionError("duplicate letter names")
         for name, deg in items:
             if not name or not all(c.isalnum() or c == "_" for c in name) \
                     or name[0].isdigit():
-                raise ValueError(f"invalid letter name {name!r}")
+                raise PreconditionError(f"invalid letter name {name!r}")
             if deg < 1:
-                raise ValueError(f"letter {name!r} must have positive degree")
+                raise PreconditionError(
+                    f"letter {name!r} needs a positive integer degree")
         self.names: tuple[str, ...] = tuple(names)
         self.degrees: tuple[int, ...] = tuple(degrees)
         self._index = {name: i for i, name in enumerate(names)}
@@ -150,9 +152,9 @@ class LyndonWord:
     def __init__(self, alphabet: GradedAlphabet, letters: Sequence[int]):
         letters = tuple(letters)
         if not all(0 <= i < len(alphabet) for i in letters):
-            raise ValueError(f"letter index out of range in {letters}")
+            raise PreconditionError(f"letter index out of range in {letters}")
         if not is_lyndon(letters):
-            raise ValueError(
+            raise PreconditionError(
                 f"{alphabet.word_str(letters)!r} is not a Lyndon word")
         self.alphabet = alphabet
         self.letters: Word = letters
@@ -247,7 +249,8 @@ def witt_dim(num_letters: int, degree: int) -> int:
     """Number of Lyndon words of length ``degree`` over ``num_letters``
     letters: (1/n) * sum_{d | n} mu(d) k^(n/d)."""
     if num_letters < 1 or degree < 1:
-        raise ValueError("witt_dim needs num_letters >= 1 and degree >= 1")
+        raise PreconditionError(
+            "witt_dim needs num_letters >= 1 and degree >= 1")
     n = degree
     total = sum(_mobius(d) * num_letters ** (n // d) for d in _divisors(n))
     assert total % n == 0
@@ -300,9 +303,9 @@ def weighted_witt_dims(generator_degrees: Iterable[int],
     the enveloping-algebra product formula) and cross-checked."""
     degrees = tuple(generator_degrees)
     if not degrees or any(d < 1 for d in degrees):
-        raise ValueError("generator degrees must be positive integers")
+        raise PreconditionError("generator degrees must be positive integers")
     if max_degree < 0:
-        raise ValueError("max_degree must be >= 0")
+        raise PreconditionError("max_degree must be >= 0")
     by_necklace = _dims_by_necklace(degrees, max_degree)
     by_pbw = _dims_by_pbw(degrees, max_degree)
     if by_necklace != by_pbw:

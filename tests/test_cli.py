@@ -14,7 +14,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import grtlab
+from grtlab import cli
 from grtlab.cli import run
 
 
@@ -66,6 +69,20 @@ def test_exit_three_precondition():
              "--generator", "a", "--generator", "b"])
     assert r.status == 3                     # dependent degree-1 parts
     assert "independent" in r.rendering
+    for alphabet in ("x x", "x:abc y"):
+        r = run(["lie", "lyndon", "--degree", "3", "--alphabet", alphabet])
+        assert r.status == 3
+    assert "duplicate" in run(["lie", "lyndon", "--degree", "3",
+                               "--alphabet", "x x"]).rendering
+
+
+def test_bare_value_error_is_a_bug_not_exit_three(monkeypatch):
+    def broken(args):
+        raise ValueError("a bug, not a precondition")
+
+    monkeypatch.setattr(cli, "_cmd_lie_dim", broken)
+    with pytest.raises(ValueError, match="a bug"):
+        run(["lie", "dim", "--degree", "5"])
 
 
 def test_lie_commands():

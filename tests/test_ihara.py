@@ -36,6 +36,7 @@ from grtlab.derivations import X, XY, Y
 from grtlab.ihara import (_A1_CAP, _eval_word, _hex_pairs, _pentagon_rows,
                           _symmetry_images, five_cycle_route)
 from grtlab.lie import _merge_scaled, from_coordinates
+from grtlab.linalg import _echelon, _rows_of
 from grtlab.words import _lyndon_tuples
 
 from conftest import random_homogeneous
@@ -132,10 +133,16 @@ def test_bracket_outside_cut_is_a_bug(monkeypatch):
 
 
 def test_modular_dims_match_rational():
-    for n in range(2, 8):
-        for p in PRIMES:
+    for n in range(2, 10):
+        for p in PRIMES + [2 ** 31 - 1]:
             assert special_dim_mod(n, p) == special_dim(n)
-    assert special_dim_mod(8, 101) == special_dim(8)
+            # the cut mod p is the canonical basis of D_n reduced mod p
+            _, rows, pivots, route = ihara._stable_pairs(n, p)
+            coords = [f.coordinates(n) for f in special_basis(n)]
+            assert (list(rows), list(pivots)) == _echelon(
+                _rows_of(coords, p)[0], p, reduced=True)
+            assert all(0 <= c < p for row in rows for c in row.values())
+            assert route == "bounds"
 
 
 @pytest.mark.slow
@@ -143,9 +150,33 @@ def test_modular_dim_9():
     assert special_dim_mod(9, 101) == special_dim(9) == 1
 
 
+@pytest.mark.slow
+def test_modular_dims_10_12():
+    for n in (10, 11, 12):
+        for p in (101, 2 ** 31 - 1):
+            assert special_dim_mod(n, p) == special_dim(n)
+
+
+def test_modular_short_bound_falls_back_to_full_route(monkeypatch):
+    # A bound of -1 is never met, so the modular route cuts every degree
+    # over the full fiber mod p, and must still agree.
+    want = {n: special_dim(n) for n in range(2, 9)}
+    monkeypatch.setattr(ihara, "_lower_bound", lambda n, *_: -1)
+    try:
+        ihara.clear_caches()
+        for n in range(2, 9):
+            assert special_dim_mod(n, 101) == want[n]
+            assert ihara._stable_pairs(n, 101)[3] == "full"
+    finally:
+        ihara.clear_caches()
+
+
 def test_preconditions_raise_precondition_error():
     calls = [lambda: special_basis(0), lambda: special_dim(0),
              lambda: special_dim_mod(1, 101), lambda: special_dim_mod(5, 1),
+             lambda: special_dim_mod(2, 4), lambda: special_dim_mod(3, 4),
+             lambda: special_dim_mod(4, 4), lambda: special_dim_mod(2, 9),
+             lambda: special_dim_mod(5, 2 ** 61 + 1),
              lambda: check_congruence(modulus=1),
              lambda: freeness_table(2)]
     for call in calls:

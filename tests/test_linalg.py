@@ -1,6 +1,5 @@
 """Exact linear algebra: kernels, echelon forms, Smith form, modular ranks."""
 
-import json
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -8,7 +7,7 @@ from math import gcd, lcm
 import pytest
 
 from grtlab import (
-    RatMatrix,
+    PreconditionError,
     in_row_space,
     kernel_basis,
     kernel_dim,
@@ -20,7 +19,10 @@ from grtlab import (
     smith_normal_form,
 )
 from grtlab import ihara
-from grtlab.linalg import FullRankSolver, _echelon, _rows_of
+from grtlab.derivations import XY
+from grtlab.lie import from_coordinates
+from grtlab.linalg import FullRankSolver, _echelon, _kernel, _rows_of
+from grtlab.words import _lyndon_tuples
 
 from conftest import random_int_matrix
 
@@ -262,17 +264,29 @@ def test_kernel_read_off_leaves_cached_echelon_alone():
         assert ([dict(row) for row in rows], list(piv)) == cached
 
 
-def _cut_matrix(n, cap):
-    """The dense fiber word x hex matrix of the 5-cycle cut in degree n."""
-    cols = ihara._pentagon_rows(n, [f.terms for f in ihara._hex_pairs(n)],
-                                cap)
+def _cut_matrix(n, cap, p=None):
+    """The dense fiber word x hex matrix of the 5-cycle cut in degree n,
+    on the hex basis over GF(p) when p is given."""
+    cols = ihara._pentagon_rows(
+        n, [f.terms for f in ihara._hex_pairs(n, p)], cap)
     words = sorted({v for col in cols for v in col})
     return [[col.get(v, 0) for col in cols] for v in words]
 
 
+def _symmetry_matrix(n):
+    """The 2- and 3-cycle conditions on the specials of degree n, one
+    column per special: the matrix whose kernel gives the hex space."""
+    d = len(_lyndon_tuples((1, 1), n))
+    specials = [from_coordinates(XY, n, v[:d])
+                for v in kernel_basis(ihara._special_pair_matrix(n))]
+    return [list(row) for row in
+            zip(*(ihara._symmetry_rows(f, n) for f in specials))]
+
+
 def _differential_inputs():
     """Seeded integer and Fraction matrices of every shape the eliminator
-    meets, then the stable-space matrices of low degree."""
+    meets, then the matrices of the staged stable-space route in low
+    degree, over the rationals and mod p."""
     rng = random.Random(310)
     for _ in range(40):
         rows, cols = rng.randint(1, 8), rng.randint(1, 9)
@@ -293,8 +307,14 @@ def _differential_inputs():
             m = _cut_matrix(n, cap)
             if m:
                 yield m
-    for n in range(2, 8):
-        yield ihara._stacked_condition_matrix(n)
+    for n in range(2, 11):
+        m = _symmetry_matrix(n)
+        if m:
+            yield m
+    for n in range(5, 10):
+        m = _cut_matrix(n, ihara._A1_CAP, 101)
+        if m:
+            yield m
 
 
 def test_eliminator_matches_dense_reference():
@@ -316,7 +336,12 @@ def test_eliminator_matches_dense_reference():
             assert in_row_space(m, v) == (
                 len(_echelon_int(m + [v])[0]) == len(ech))
         for p in (2, 3, 23, 101):
-            assert rank_mod(m, p) == _reference_rank_mod(m, p)
+            r = _reference_rank_mod(m, p)
+            assert rank_mod(m, p) == r
+            kernel = _kernel(m, p)
+            assert len(kernel) == ncols - r
+            for v in kernel:
+                assert all(s % p == 0 for s in _mat_vec(_rows_mod(m, p), v))
 
 
 def test_five_cycle_echelon_matches_dense_reference():
@@ -436,6 +461,12 @@ def test_modular_rank_bounds():
     assert rank_mod(m, 2) == 1
     assert rank_mod(m, 3) == 1
     assert rank_mod(m, 5) == 2
+    assert rank_mod(m, 2 ** 61 - 1) == 2
+    # a modulus that is not a prime below 2^64 is refused, not used
+    for p in (0, 1, 4, 9, 91, 3215031751, 2 ** 64 + 13, 2.0):
+        for call in (rank_mod, kernel_dim_mod):
+            with pytest.raises(PreconditionError):
+                call([[2, 1], [1, 1]], p)
 
 
 def test_rank_mod_agrees_generically():
@@ -464,20 +495,9 @@ def test_rank_mod_integer_and_fraction_entries_agree():
         rank_mod([[Fraction(1, 23)]], 23)
 
 
-def test_rat_matrix_json_roundtrip():
-    m = RatMatrix.from_rows([[Fraction(1, 2), 3], [0, Fraction(-7, 5)]])
-    blob = json.dumps(m.to_json(), sort_keys=True)
-    back = RatMatrix.from_json(json.loads(blob))
-    assert back == m
-    with pytest.raises(ValueError):
-        RatMatrix.from_rows([[1, 2], [3]])
-    bad = m.to_json()
-    bad["rows"] = 5
-    with pytest.raises(ValueError):
-        RatMatrix.from_json(bad)
-
-
-def test_kernel_of_rat_matrix_input():
-    m = RatMatrix.from_rows([[Fraction(1, 2), 1], [1, 2]])
+def test_kernel_of_fraction_rows():
+    m = [[Fraction(1, 2), 1], [1, 2]]
     assert kernel_basis(m) == [[2, -1]]
     assert rank(m) == 1
+    with pytest.raises(ValueError):
+        kernel_basis([[1, 2], [3]])
