@@ -3,7 +3,9 @@
 A derivation is stored by its images of the generators and extended to
 the whole algebra through the Leibniz rule along standard factorizations.
 The image of each Lyndon word is a raw {word: coefficient} dict, built
-with :func:`grtlab.lie._bracket_into` and cached per instance.
+with :func:`grtlab.lie._bracket_into` and cached per instance, for as long
+as the instance lives: :func:`grtlab.ihara.ihara_bracket` keeps one
+instance per operand, so its images serve every later bracket with it.
 A derivation of degree d sends the degree-n piece to degree n + d; in the
 weight convention used for display it acts in weight -2d.
 

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
+from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .derivations import X, XY, Y, Derivation
@@ -268,11 +269,12 @@ def _cut(n: int, hexes, cap, p=None) -> tuple:
 
 def clear_caches() -> None:
     """Drop the stable-space caches: per-degree matrices, solvers and
-    bases, and, under both fiber budgets, 5-cycle evaluations of words
-    and the action of base words on fiber letters and words.  Later calls
-    rebuild them, with identical results."""
+    bases; under both fiber budgets, 5-cycle evaluations of words and the
+    action of base words on fiber letters and words; and the derivations
+    that :func:`ihara_bracket` keeps per operand.  Later calls rebuild
+    them, with identical results."""
     for cached in (_special_pair_matrix, _ad_z, _symmetry_images,
-                   _hex_pairs, _stable_pairs):
+                   _hex_pairs, _stable_pairs, _operand_derivation):
         cached.cache_clear()
     for cache in (*_EVAL_CACHE, _ACT_ON_WORD, _ACT_IM):
         cache.clear()
@@ -555,6 +557,44 @@ def stable_derivation(f: LieElement) -> Derivation:
     return Derivation(LieElement.zero(XY), bracket(Y, f))
 
 
+# The key is a caller's element, not a degree or a word, so the number of
+# distinct keys is unbounded and the size is a fixed constant: 64 holds the
+# 16 canonical basis elements through degree 14 with room to spare.  Like
+# the other module caches it serves one process; two threads sharing an
+# entry can only build the same word image twice.
+@functools.lru_cache(maxsize=64)
+def _operand_derivation(p: LieElement) -> Derivation:
+    """D_p, kept with its images of Lyndon words for later brackets with
+    the operand p or any rescaling of it (see :func:`_split_operand`)."""
+    return stable_derivation(p)
+
+
+def _split_operand(f: LieElement) -> tuple:
+    """(c, p) with f = c p exactly.  For nonzero f with int and Fraction
+    coefficients, c = +-gcd(numerators) / lcm(denominators), signed so
+    that the coefficient of p on its least word is positive, and p has
+    coprime integer coefficients.  Otherwise c = 1 and p is a copy of f."""
+    coeffs = f.terms.values()
+    if not coeffs or not all(isinstance(c, (int, Fraction)) for c in coeffs):
+        return 1, LieElement(f.alphabet, f.terms)
+    g = math.gcd(*(c.numerator for c in coeffs))
+    den = math.lcm(*(c.denominator for c in coeffs))
+    if f.terms[min(f.terms)] < 0:
+        g = -g
+    c = g if den == 1 else Fraction(g, den)
+    return c, LieElement(f.alphabet, {
+        w: a.numerator // g * (den // a.denominator)
+        for w, a in f.terms.items()})
+
+
+def _apply_cached(f: LieElement, e: LieElement) -> LieElement:
+    """D_f(e) as c D_p(e), with f = c p split by :func:`_split_operand`
+    and D_p from :func:`_operand_derivation`."""
+    c, p = _split_operand(f)
+    image = _operand_derivation(p)(e)
+    return image if c == 1 else image.scale(c)
+
+
 def ihara_bracket(f: LieElement, g: LieElement,
                   verify: bool = True) -> LieElement:
     """<f, g> = D_f(g) - D_g(f) + [f, g].
@@ -563,13 +603,19 @@ def ihara_bracket(f: LieElement, g: LieElement,
     necessary conditions (special with witness, 2-cycle, 3-cycle); the
     5-cycle condition is not re-derived here because the stable space is
     closed under this bracket.
+
+    Each operand is split as c p with p primitive integral (see
+    :func:`_split_operand`), and D_p comes from a cache of at most 64
+    derivations that keep their word images, so later brackets with p or
+    any multiple of it reuse them; D_f(g) is then c D_p(g).
+    :func:`clear_caches` drops that cache.
     """
     if verify:
         for name, e in (("left", f), ("right", g)):
             if not is_stable(e, check_five_cycle=False):
                 raise SpecialConditionError(
                     f"{name} operand fails the stable-space conditions")
-    return stable_derivation(f)(g) - stable_derivation(g)(f) + bracket(f, g)
+    return _apply_cached(f, g) - _apply_cached(g, f) + bracket(f, g)
 
 
 # ---------------------------------------------------------------------

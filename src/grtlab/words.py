@@ -34,7 +34,7 @@ class GradedAlphabet:
     (3, 5)
     """
 
-    __slots__ = ("names", "degrees", "_index")
+    __slots__ = ("names", "degrees", "_index", "_unit_degrees")
 
     def __init__(self, letters: str | Iterable):
         if isinstance(letters, str):
@@ -64,6 +64,7 @@ class GradedAlphabet:
         self.names: tuple[str, ...] = tuple(names)
         self.degrees: tuple[int, ...] = tuple(degrees)
         self._index = {name: i for i, name in enumerate(names)}
+        self._unit_degrees = all(d == 1 for d in self.degrees)
 
     def __len__(self) -> int:
         return len(self.names)
@@ -77,7 +78,7 @@ class GradedAlphabet:
         return hash((self.names, self.degrees))
 
     def __repr__(self) -> str:
-        if all(d == 1 for d in self.degrees):
+        if self._unit_degrees:
             return f"GradedAlphabet({' '.join(self.names)!r})"
         inner = " ".join(f"{n}:{d}" for n, d in zip(self.names, self.degrees))
         return f"GradedAlphabet({inner!r})"
@@ -89,6 +90,8 @@ class GradedAlphabet:
             raise KeyError(f"no generator named {name!r}") from None
 
     def word_degree(self, word: Sequence[int]) -> int:
+        if self._unit_degrees:
+            return len(word)
         return sum(self.degrees[i] for i in word)
 
     def word_str(self, word: Sequence[int]) -> str:

@@ -416,6 +416,113 @@ def test_ihara_bracket_verifies_operands():
         ihara_bracket(s3, X.scale(2))
 
 
+SCALES = [1, -1, 3, -2, Fraction(1, 2), Fraction(-3, 4)]
+
+
+def _reference_bracket(f, g):
+    """<f, g> from fresh derivations, with no cache across calls."""
+    return stable_derivation(f)(g) - stable_derivation(g)(f) + bracket(f, g)
+
+
+def _basis_pairs(max_total):
+    elements = [b for n in range(3, max_total - 2) for b in special_basis(n)]
+    return [(f, g) for i, f in enumerate(elements) for g in elements[i:]
+            if f.homogeneous_degree() + g.homogeneous_degree() <= max_total]
+
+
+def _check_scaled_brackets(pairs):
+    for f, g in pairs:
+        # every scale on each side, each pair of scales once per rotation
+        for k in (1, 4):
+            for s, t in zip(SCALES, SCALES[k:] + SCALES[:k]):
+                fs, gt = f.scale(s), g.scale(t)
+                got = ihara_bracket(fs, gt)
+                assert got == _reference_bracket(fs, gt), (s, t)
+                assert got == ihara_bracket(f, g).scale(s * t)
+
+
+def test_ihara_bracket_matches_uncached_reference():
+    ihara.clear_caches()
+    _check_scaled_brackets(_basis_pairs(13))
+    s3, s5 = soule_generator(3), soule_generator(5)
+    # all 36 scale pairs on one pair of generators
+    for s in SCALES:
+        for t in SCALES:
+            fs, gt = s3.scale(s), s5.scale(t)
+            assert ihara_bracket(fs, gt) == _reference_bracket(fs, gt)
+    zero = LieElement.zero(XY)
+    assert not ihara_bracket(zero, s5) and not ihara_bracket(s3, zero)
+    assert ihara_bracket(zero, s5) == _reference_bracket(zero, s5)
+    # unverified operands need not be special
+    f = LieElement(XY, {(0, 1): Fraction(-2, 3)})
+    assert not is_stable(f, check_five_cycle=False)
+    for g in (s3, X.scale(5), f.scale(-4)):
+        assert (ihara_bracket(f, g, verify=False)
+                == _reference_bracket(f, g))
+
+
+@pytest.mark.slow
+def test_ihara_bracket_matches_uncached_reference_through_14():
+    pairs = [(f, g) for f, g in _basis_pairs(14)
+             if f.homogeneous_degree() + g.homogeneous_degree() == 14]
+    assert len(pairs) == 4  # (3, 11) twice, (5, 9) and (7, 7)
+    _check_scaled_brackets(pairs)
+
+
+def test_ihara_bracket_of_integral_operands_is_integral():
+    for f, g in _basis_pairs(13):
+        for s, t in ((1, 1), (-3, 2), (6, -4)):
+            b = ihara_bracket(f.scale(s), g.scale(t))
+            assert all(type(c) is int for c in b.terms.values())
+
+
+def test_split_operand():
+    f = LieElement(XY, {(0, 0, 1): Fraction(-3, 4), (0, 1, 1): Fraction(9, 2)})
+    c, p = ihara._split_operand(f)
+    assert c == Fraction(-3, 4) and p.terms == {(0, 0, 1): 1, (0, 1, 1): -6}
+    assert p.scale(c) == f
+    assert all(type(a) is int for a in p.terms.values())
+    c, p = ihara._split_operand(f.scale(Fraction(-4, 3)))
+    assert type(c) is int and c == 1 and p.terms == {(0, 0, 1): 1,
+                                                     (0, 1, 1): -6}
+    # coefficients outside Z and Q key on a copy of the element
+    g = LieElement(XY, {(0, 1): 1.5})
+    c, p = ihara._split_operand(g)
+    assert c == 1 and p == g and p is not g
+
+
+def test_rescaled_operand_reuses_derivation_images():
+    s3, s7, s9 = (soule_generator(m) for m in (3, 7, 9))
+    ihara.clear_caches()
+    ihara_bracket(s3, s7)
+    d3 = ihara._operand_derivation(s3)
+    size = len(d3._cache)
+    assert size
+    for s in SCALES:
+        ihara_bracket(s3.scale(s), s7.scale(-2))
+        ihara_bracket(s7, s3.scale(s))
+    assert len(d3._cache) == size
+    assert ihara._operand_derivation(s3) is d3
+    # two distinct primitive operands so far
+    assert ihara._operand_derivation.cache_info().currsize == 2
+    # a new right-hand side adds images, but no derivation entry for s3
+    ihara_bracket(s3.scale(-1), s9)
+    assert len(d3._cache) > size
+    assert ihara._operand_derivation.cache_info().currsize == 3
+
+
+def test_operand_derivation_cache_is_bounded():
+    ihara.clear_caches()
+    cache = ihara._operand_derivation
+    maxsize = cache.cache_parameters()["maxsize"]
+    assert maxsize == 64
+    for k in range(1, maxsize + 10):
+        f = LieElement(XY, {(0, 0, 1): 1, (0, 1, 1): k})
+        ihara_bracket(f.scale(k + 1), Y, verify=False)
+        assert cache.cache_info().currsize <= maxsize
+    assert cache.cache_info().currsize == maxsize
+
+
 def test_congruence_default():
     report = check_congruence()
     assert report["divisible"]
@@ -461,14 +568,18 @@ def test_clear_caches_rebuilds_identical_bases():
     # fill the full-fiber caches too, next to the quotient ones
     _pentagon_rows(8, [f.terms for f in _hex_pairs(8)], None)
     assert {k[0] for k in ihara._ACT_ON_WORD} == {None, _A1_CAP}
+    ihara_bracket(before[3][0], before[5][0])
+    assert ihara._operand_derivation.cache_info().currsize
     ihara.clear_caches()
     assert not any(ihara._EVAL_CACHE) and not ihara._ACT_ON_WORD
     assert not ihara._ACT_IM
-    # every per-degree cache of the module, so that a new one is not missed
-    per_degree = [f for f in vars(ihara).values() if hasattr(f, "cache_info")
-                  and f.__module__ == ihara.__name__]
-    assert len(per_degree) == 5
-    assert all(f.cache_info().currsize == 0 for f in per_degree)
+    # every lru_cache of the module, so that a new one is not missed: five
+    # per-degree caches and the per-operand derivations of ihara_bracket
+    cached = [f for f in vars(ihara).values() if hasattr(f, "cache_info")
+              and f.__module__ == ihara.__name__]
+    assert len(cached) == 6
+    assert all(f.cache_info().currsize == 0 for f in cached)
+    assert ihara._operand_derivation.cache_info().currsize == 0
     assert {n: special_basis(n) for n in range(2, 10)} == before
     # the bounds decided every degree, so only the quotient was evaluated,
     # and only on the factors of degree-9 words, not on the words
