@@ -72,10 +72,8 @@ def _int_list(text: str) -> list[int]:
 
 def _check_ihara_degree(n: int) -> None:
     if n > ihara.HARD_MAX_DEGREE:
-        raise GrtError(
-            f"degree {n} exceeds the hard cap {ihara.HARD_MAX_DEGREE}: at "
-            "degree 15 the quotient 5-cycle cut alone took 553 s and near "
-            "2 GB")
+        raise GrtError(f"degree {n} exceeds the hard cap "
+                       f"ihara.HARD_MAX_DEGREE = {ihara.HARD_MAX_DEGREE}")
     if n < 1:
         raise GrtError("degree must be >= 1")
 

@@ -42,24 +42,23 @@ from .errors import (DegenerateLeadingTermError, NotOneDimensionalError,
 from .lie import (LieElement, _bracket_graded, _bracket_into, _merge_scaled,
                   _split_by, _word_images, bracket, from_coordinates,
                   lie_to_string)
-from .linalg import (FullRankSolver, _canonical, _check_prime, _echelon,
-                     _kernel, _kernel_of_echelon, _reduce, _rows_of, _sparse,
-                     rank)
+from .linalg import (FullRankSolver, _check_prime, _column_kernel, _echelon,
+                     _positive, _reduce, _sparse)
 from .motivic import image_model_dims
 from .words import _lyndon_tuples, _std_factorization
 
 Z = LieElement(XY, {(0,): -1, (1,): -1})
 
 #: Default cap on the degree of stable-space computations offered by the
-#: command line.  On a 2-core VM (Python 3.11) a build from cold caches
-#: takes about 0.25 s through degree 10, 0.9 s more for degree 11 and
-#: 2.5 s more for degree 12, at a peak RSS near 70 MiB.
+#: command line.  On a 2-core VM (Python 3.11) a cold ``ihara freeness
+#: --max-degree N``, timed as a child process, takes 0.5 s for N = 10,
+#: 1.1 s for 11 and 3.4-4.5 s for 12, at a peak RSS of 66 MiB.
 DEFAULT_MAX_DEGREE = 12
-#: Highest degree the command line accepts.  On the same VM degree 13 adds
-#: about 23 s (peak RSS near 200 MiB) and degree 14 about 100 s (near
-#: 590 MiB).  Most of each is the 5-cycle evaluation in the quotient
-#: (16 s and 75 s); the sparse special-pair kernel takes 0.5 s and 1.5 s.
-#: Degree 15 spent 553 s in the quotient 5-cycle cut alone, near 2 GB.
+#: Highest degree the command line accepts.  On the same VM N = 13 takes
+#: 28-35 s at 187 MiB and N = 14 takes 130 s at 553 MiB.  At degree 13
+#: the hex build takes 5 s and the 5-cycle evaluation in the quotient
+#: 18-21 s.  Degree 15 spent 553 s in the quotient 5-cycle cut alone,
+#: near 2 GB.
 HARD_MAX_DEGREE = 14
 
 
@@ -228,34 +227,19 @@ def _pentagon_rows(n: int, elements: Sequence[Mapping], cap) -> list[dict]:
     return out
 
 
-def _five_cycle_echelon(n: int, hexes, cap, p=None) -> tuple:
-    """Reduced echelon form (sparse rows, pivots), over GF(p) when ``p``
-    is given, of the matrix whose columns are the 5-cycle sums of
-    ``hexes`` within the budget ``cap``, one row per fiber word."""
-    rows: dict = {}
-    for j, col in enumerate(_pentagon_rows(n, [f.terms for f in hexes],
-                                           cap)):
-        for v, c in col.items():
-            rows.setdefault(v, {})[j] = c
-    sparse = (_sparse(row, p) for row in rows.values())
-    return _echelon([row for row in sparse if row], p, reduced=True)
-
-
 def _cut(n: int, hexes, cap, p=None) -> tuple:
     """The hex elements whose 5-cycle sums vanish within the budget
-    ``cap``, as (basis, rows, pivots): the canonical basis (reduced
-    echelon form over the degree-n Lyndon coordinates, primitive
-    integral, leading entry positive; over GF(p), monic residues), the
-    same rows made sparse, and their pivot columns."""
-    combos = _kernel_of_echelon(*_five_cycle_echelon(n, hexes, cap, p),
-                                len(hexes))
-    rows, d = _rows_of([f.coordinates(n)
-                        for f in _combine(combos, hexes, p)], p)
-    dense = [_canonical(row, d)
-             for row in _echelon(rows, p, reduced=True)[0]]
-    rows = tuple(_sparse(row, p) for row in dense)
-    return (tuple(from_coordinates(XY, n, row) for row in dense), rows,
-            tuple(min(row) for row in rows))
+    ``cap``, as (basis, rows, pivots): the canonical basis, the same
+    elements as reduced echelon rows keyed by Lyndon word (primitive
+    integral, leading entry positive; over GF(p), monic residues), and
+    their pivot words.  Degree-n words compare in basis order, so the
+    pivots are those of the echelon form in Lyndon coordinates."""
+    combos = _column_kernel(
+        _pentagon_rows(n, [f.terms for f in hexes], cap), p)
+    red, pivots = _echelon([f for f in _combine(combos, hexes, p) if f],
+                           p, reduced=True)
+    rows = tuple(_positive(row) for row in red)
+    return tuple(LieElement(XY, row) for row in rows), rows, tuple(pivots)
 
 
 # ---------------------------------------------------------------------
@@ -280,27 +264,25 @@ def clear_caches() -> None:
         cache.clear()
 
 
-def _ad_columns(a: LieElement, n: int) -> list[list]:
-    """Coordinates of [a, w] in degree n + 1, one column per degree-n
-    Lyndon word w, for a of degree 1."""
-    return [bracket(a, LieElement(XY, {w: 1})).coordinates(n + 1)
-            for w in _lyndon_tuples((1, 1), n)]
-
-
 @functools.lru_cache(maxsize=None)
-def _special_pair_matrix(n: int):
-    """Integer matrix whose kernel is {(f, u) : [y, f] = [z, u]} in the
-    coordinates (f over the degree-n Lyndon basis, then u likewise)."""
-    cols = _ad_columns(Y, n) + [[-c for c in col]
-                                for col in _ad_columns(Z, n)]
-    return [list(row) for row in zip(*cols)]
+def _special_pair_matrix(n: int) -> list[dict]:
+    """The sparse columns, raw dicts over degree-(n + 1) words, of the
+    integer matrix whose kernel is {(f, u) : [y, f] = [z, u]} in the
+    coordinates (f over the degree-n Lyndon basis, then u likewise):
+    [y, w] for each degree-n word w, then -[z, w] = [w, z]."""
+    words = _lyndon_tuples((1, 1), n)
+    return ([_bracket_into({}, Y.terms, {w: 1}) for w in words]
+            + [_bracket_into({}, {w: 1}, Z.terms) for w in words])
 
 
 @functools.lru_cache(maxsize=None)
 def _ad_z(n: int) -> FullRankSolver:
     """ad(z) from degree n to degree n + 1, factored for solving; it is
-    injective for n >= 2."""
-    return FullRankSolver([list(row) for row in zip(*_ad_columns(Z, n))])
+    injective for n >= 2.  The solver takes the dense matrix."""
+    cols = [_bracket_into({}, Z.terms, {w: 1})
+            for w in _lyndon_tuples((1, 1), n)]
+    return FullRankSolver([[col.get(v, 0) for col in cols]
+                           for v in _lyndon_tuples((1, 1), n + 1)])
 
 
 @functools.lru_cache(maxsize=None)
@@ -319,9 +301,9 @@ def _symmetry_images(n: int) -> dict:
     return out
 
 
-def _symmetry_rows(f: LieElement, n: int) -> list:
-    """Coordinates of the 2-cycle and 3-cycle defects of f, which is
-    homogeneous of degree n."""
+def _symmetry_rows(f: LieElement, n: int) -> tuple[dict, dict]:
+    """The 2-cycle and 3-cycle defects of f, which is homogeneous of
+    degree n, as raw dicts over degree-n words."""
     images = _symmetry_images(n)
     tau: dict = {}
     cyc: dict = {}
@@ -329,8 +311,7 @@ def _symmetry_rows(f: LieElement, n: int) -> list:
         tw, cw = images[w]
         _merge_scaled(tau, tw, c)
         _merge_scaled(cyc, cw, c)
-    basis = _lyndon_tuples((1, 1), n)
-    return [tau.get(w, 0) for w in basis] + [cyc.get(w, 0) for w in basis]
+    return tau, cyc
 
 
 @functools.lru_cache(maxsize=None)
@@ -339,35 +320,40 @@ def _hex_pairs(n: int, p: int | None = None) -> tuple:
     satisfying special, 2-cycle and 3-cycle, before the 5-cycle cut, from
     the f halves of the special-pair kernel.  The name is kept, though
     entries are no longer (f, u) pairs, because the benchmark hooks it
-    (``perfbench/spans.py``)."""
+    (``perfbench/spans.py``).  The symmetry cut has one sparse column per
+    special, its 2-cycle defect keyed by word and its 3-cycle defect by
+    (1, word)."""
     d = len(_lyndon_tuples((1, 1), n))
     specials = [from_coordinates(XY, n, v[:d])
-                for v in _kernel(_special_pair_matrix(n), p)]
-    if not specials:
-        return ()
-    cond = [_symmetry_rows(f, n) for f in specials]
-    return tuple(_combine(_kernel([list(col) for col in zip(*cond)], p),
-                          specials, p))
+                for v in _column_kernel(_special_pair_matrix(n), p)]
+    cols = []
+    for f in specials:
+        col, cyc = _symmetry_rows(f, n)
+        for w, c in cyc.items():
+            col[1, w] = c
+        cols.append(col)
+    return tuple(LieElement(XY, f)
+                 for f in _combine(_column_kernel(cols, p), specials, p))
 
 
-def _combine(combos, elements, p=None) -> list:
+def _combine(combos, elements, p=None) -> list[dict]:
     """The elements sum_j t_j elements[j], one per coefficient vector t,
-    made primitive, or reduced mod p when ``p`` is given."""
+    as raw dicts made primitive, or reduced mod p when ``p`` is given."""
     out = []
     for t in combos:
         f: dict = {}
         for tj, fj in zip(t, elements):
             _merge_scaled(f, fj.terms, tj)
-        out.append(LieElement(XY, _sparse(f, p)))
+        out.append(_sparse(f, p))
     return out
 
 
 @functools.lru_cache(maxsize=None)
 def _stable_pairs(n: int, p: int | None = None) -> tuple:
     """D_n as (basis, rows, pivots, route): its canonical basis, the same
-    basis as sparse reduced echelon rows with their pivot columns (see
-    :func:`_cut`), and the route that decided the 5-cycle cut.  With a
-    prime ``p`` every stage runs over GF(p) instead (see
+    basis as reduced echelon rows keyed by Lyndon word with their pivot
+    words (see :func:`_cut`), and the route that decided the 5-cycle cut.
+    With a prime ``p`` every stage runs over GF(p) instead (see
     :func:`special_dim_mod`).  The name is kept, though no witnesses are
     carried, because the benchmark hooks it (``perfbench/spans.py``).
 
@@ -393,8 +379,7 @@ def _stable_pairs(n: int, p: int | None = None) -> tuple:
         return (), (), (), None
     hexes = _hex_pairs(n, p)
     # The evaluator skips the base part, f + f(y, x); it must vanish here.
-    d = len(_lyndon_tuples((1, 1), n))
-    if any(_sparse(_symmetry_rows(f, n)[:d], p) for f in hexes):
+    if any(_sparse(_symmetry_rows(f, n)[0], p) for f in hexes):
         raise AssertionError(
             "5-cycle base component failed to cancel on a 2-cycle "
             "symmetric element")
@@ -413,9 +398,10 @@ def _lower_bound(n: int, cut, p=None) -> int:
     """dim B_n, plus 1 in odd degree n >= 3: a lower bound on dim D_n (see
     :func:`_stable_pairs`), a rank over the rationals whatever ``p`` is.
     Each bracket in B_n must lie in the quotient cut K_q, given as
-    :func:`_cut` returns it (over GF(p) for a prime ``p``), and have no
-    x^(n-1) y term; a bracket that does not is a bug, and raises
-    AssertionError."""
+    :func:`_cut` returns it (rows keyed by Lyndon word and their pivot
+    words, over GF(p) for a prime ``p``), and have no x^(n-1) y term; a
+    bracket that does not is a bug, and raises AssertionError.  The
+    brackets are reduced, and their rank taken, as word-keyed rows."""
     _, rows, pivots = cut
     depth1 = (0,) * (n - 1) + (1,)
     span = []
@@ -424,14 +410,14 @@ def _lower_bound(n: int, cut, p=None) -> int:
         for i, f in enumerate(_stable_pairs(a)[0]):
             for g in right[i + 1:] if 2 * a == n else right:
                 b = ihara_bracket(f, g, verify=False)
-                coords = b.coordinates(n)
                 if (b.terms.get(depth1)
-                        or _reduce(_sparse(coords, p), rows, pivots, p)):
+                        or _reduce(_sparse(b.terms, p), rows, pivots, p)):
                     raise AssertionError(
                         f"bracket of degrees {a} and {n - a} lies outside "
                         "the 5-cycle cut")
-                span.append(coords)
-    return rank(span) + (1 if n % 2 and n >= 3 else 0)
+                if b:
+                    span.append(_sparse(b.terms))
+    return len(_echelon(span)[1]) + (1 if n % 2 and n >= 3 else 0)
 
 
 def five_cycle_route(n: int) -> str:
@@ -486,8 +472,8 @@ def is_stable(f: LieElement, check_five_cycle: bool = True) -> bool:
 
     The special condition is one solve against the factored degree-n
     ad(z) matrix, and the 2- and 3-cycle conditions merge cached per-word
-    images.  The 5-cycle check then reduces the coordinates of f against
-    the cached sparse echelon rows of the canonical basis of D_n: f lies
+    images.  The 5-cycle check then reduces the terms of f against the
+    cached word-keyed echelon rows of the canonical basis of D_n: f lies
     in D_n exactly when nothing is left.  The first check in a degree
     builds that basis, everything after reuses it.  Pass
     ``check_five_cycle=False`` for the cheap necessary conditions only.
@@ -505,7 +491,7 @@ def is_stable(f: LieElement, check_five_cycle: bool = True) -> bool:
         return False
     if check_five_cycle:
         _, rows, pivots, _ = _stable_pairs(n)
-        return not _reduce(_sparse(f.coordinates(n)), rows, pivots)
+        return not _reduce(_sparse(f.terms), rows, pivots)
     return True
 
 
@@ -664,10 +650,9 @@ def check_congruence(modulus: int = 691,
 def _coordinate_gcd(element: LieElement, modulus: int) -> tuple[int, bool]:
     """The gcd of the coordinates of a homogeneous element (0 for zero),
     and whether ``modulus`` divides it; zero counts as not divisible."""
-    degree = element.homogeneous_degree()
-    coords = [int(c) for c in element.coordinates(degree)] if degree else []
-    g = math.gcd(*coords)
-    return g, bool(coords) and g % modulus == 0
+    coeffs = [int(c) for c in element.terms.values()]
+    g = math.gcd(*coeffs)
+    return g, bool(coeffs) and g % modulus == 0
 
 
 def _sign_discrepancy_report(gens: dict[int, LieElement],
@@ -702,8 +687,7 @@ def freeness_table(max_degree: int = DEFAULT_MAX_DEGREE) -> list[dict]:
 
     Each row reports the computed stable dimension, the free-algebra
     prediction (:func:`grtlab.motivic.image_model_dims`), and whether
-    they agree.  Degree 11 adds about 0.9 s and degree 12 about 2.5 s; see
-    DEFAULT_MAX_DEGREE.
+    they agree.  For the cost of each degree, see DEFAULT_MAX_DEGREE.
     """
     if max_degree < 3:
         raise PreconditionError("max_degree must be >= 3")

@@ -2,10 +2,11 @@
 
 Every rank, kernel, echelon form, residual and solve, over the rationals
 or mod a prime, runs through one eliminator, :func:`_echelon`, on sparse
-rows ``{column: int}`` that dense rows become once, on the way in.  Over
-the rationals it is fraction-free: each update keeps rows integral and
-divides out their content, so entries stay modest.  Pivot columns are
-taken in column order, and kernel vectors and echelon rows come out
+rows ``{column: int}`` whose columns are any ordered keys: dense rows are
+keyed by index, and the stable stages in ``ihara`` key by Lyndon word.
+Over the rationals it is fraction-free: each update keeps rows integral
+and divides out their content, so entries stay modest.  Pivot columns
+are taken in column order, and kernel vectors and echelon rows come out
 primitive integral with the first nonzero entry positive, which makes
 every routine's output canonical.  The Smith normal form is a separate
 algorithm on dense integer rows.
@@ -73,13 +74,18 @@ def _primitive(row: dict) -> dict:
     return {j: x // g for j, x in row.items()} if g > 1 else row
 
 
+def _positive(row: dict) -> dict:
+    """A sparse row, its sign changed if its leading entry is negative."""
+    neg = row and row[min(row)] < 0
+    return {j: -x for j, x in row.items()} if neg else row
+
+
 def _canonical(row: dict, ncols: int) -> list[int]:
     """A primitive sparse row as a dense list with its first nonzero entry
     positive."""
-    s = -1 if row and row[min(row)] < 0 else 1
     out = [0] * ncols
-    for j, x in row.items():
-        out[j] = s * x
+    for j, x in _positive(row).items():
+        out[j] = x
     return out
 
 
@@ -177,14 +183,21 @@ def kernel_basis(m) -> list[list[int]]:
     nonzero entry positive; over the rationals this basis is canonical
     (it is the standard kernel basis of the reduced echelon form).
     """
-    return _kernel(m)
+    rows, ncols = _rows_of(m)
+    return _kernel_of_echelon(*_echelon(rows, reduced=True), ncols)
 
 
-def _kernel(m, p: int | None = None) -> list[list[int]]:
-    """:func:`kernel_basis`, or over GF(p) a kernel basis of integer
-    vectors whose residues mod p span the kernel there."""
-    rows, ncols = _rows_of(m, p)
-    return _kernel_of_echelon(*_echelon(rows, p, reduced=True), ncols)
+def _column_kernel(cols: Sequence[dict], p: int | None = None) -> list:
+    """:func:`kernel_basis` of the matrix whose column j is the sparse
+    dict ``cols[j]`` over any hashable row keys, or over GF(p) a kernel
+    basis of integer vectors whose residues mod p span the kernel there."""
+    rows: dict = {}
+    for j, col in enumerate(cols):
+        for key, x in col.items():
+            rows.setdefault(key, {})[j] = x
+    sparse = (_sparse(row, p) for row in rows.values())
+    return _kernel_of_echelon(*_echelon([r for r in sparse if r], p,
+                                        reduced=True), len(cols))
 
 
 def _kernel_of_echelon(red: list[dict], pivots: list[int],

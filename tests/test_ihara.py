@@ -36,7 +36,7 @@ from grtlab.derivations import X, XY, Y
 from grtlab.ihara import (_A1_CAP, _eval_word, _hex_pairs, _pentagon_rows,
                           _symmetry_images, five_cycle_route)
 from grtlab.lie import _merge_scaled, from_coordinates
-from grtlab.linalg import _echelon, _rows_of
+from grtlab.linalg import _echelon, _sparse
 from grtlab.words import _lyndon_tuples
 
 from conftest import random_homogeneous
@@ -51,6 +51,9 @@ def test_stable_dims_through_10():
     for n, d in STABLE_DIMS.items():
         assert special_dim(n) == d
         assert len(special_basis(n)) == d
+        # canonical: the coefficient on the least word (the pivot) is
+        # positive; the raw echelon rows of degrees 7 and 9 lead negative
+        assert all(f.terms[min(f.terms)] > 0 for f in special_basis(n))
 
 
 @pytest.mark.slow
@@ -138,9 +141,9 @@ def test_modular_dims_match_rational():
             assert special_dim_mod(n, p) == special_dim(n)
             # the cut mod p is the canonical basis of D_n reduced mod p
             _, rows, pivots, route = ihara._stable_pairs(n, p)
-            coords = [f.coordinates(n) for f in special_basis(n)]
+            terms = [_sparse(f.terms, p) for f in special_basis(n)]
             assert (list(rows), list(pivots)) == _echelon(
-                _rows_of(coords, p)[0], p, reduced=True)
+                terms, p, reduced=True)
             assert all(0 <= c < p for row in rows for c in row.values())
             assert route == "bounds"
 

@@ -21,7 +21,8 @@ from grtlab import (
 from grtlab import ihara
 from grtlab.derivations import XY
 from grtlab.lie import from_coordinates
-from grtlab.linalg import FullRankSolver, _echelon, _kernel, _rows_of
+from grtlab.linalg import (FullRankSolver, _column_kernel, _echelon,
+                           _kernel_of_echelon, _rows_of, _sparse)
 from grtlab.words import _lyndon_tuples
 
 from conftest import random_int_matrix
@@ -244,16 +245,15 @@ def test_kernel_read_off_matches_fraction_route():
         assert kernel_basis([[0] * cols]) == _kernel_by_fractions(
             [[0] * cols])
     for n in range(2, 10):
-        m = ihara._special_pair_matrix(n)
+        m = _special_pair_dense(n)
         assert kernel_basis(m) == _kernel_by_fractions(m)
 
 
 def test_kernel_read_off_leaves_cached_echelon_alone():
     for n in (7, 9, 10):
-        red, pivots = ihara._five_cycle_echelon(n, ihara._hex_pairs(n),
-                                                ihara._A1_CAP)
+        red, pivots = _cut_echelon(n, ihara._A1_CAP)
         before = [dict(row) for row in red], list(pivots)
-        ihara._kernel_of_echelon(red, pivots, len(ihara._hex_pairs(n)))
+        _kernel_of_echelon(red, pivots, len(ihara._hex_pairs(n)))
         assert (red, pivots) == before
         # the cached D_n rows survive every reduction against them
         _, rows, piv, _ = ihara._stable_pairs(n)
@@ -262,6 +262,32 @@ def test_kernel_read_off_leaves_cached_echelon_alone():
             ihara.is_stable(f)
         ihara._lower_bound(n, ((), rows, piv))
         assert ([dict(row) for row in rows], list(piv)) == cached
+
+
+def _dense(cols, keys=None):
+    """The dense matrix whose column j is the sparse dict cols[j], one row
+    per key of ``keys``, by default every key met, in order of appearance."""
+    if keys is None:
+        keys = dict.fromkeys(k for col in cols for k in col)
+    return [[col.get(k, 0) for col in cols] for k in keys]
+
+
+def _special_pair_dense(n):
+    """The special-pair matrix of degree n in Lyndon coordinates."""
+    return _dense(ihara._special_pair_matrix(n),
+                  _lyndon_tuples((1, 1), n + 1))
+
+
+def _cut_echelon(n, cap, p=None):
+    """Reduced echelon form of the 5-cycle cut matrix in degree n: the
+    fiber-word columns of the hex elements transposed into sparse rows."""
+    rows = {}
+    for j, col in enumerate(ihara._pentagon_rows(
+            n, [f.terms for f in ihara._hex_pairs(n, p)], cap)):
+        for v, c in col.items():
+            rows.setdefault(v, {})[j] = c
+    sparse = (_sparse(row, p) for row in rows.values())
+    return _echelon([row for row in sparse if row], p, reduced=True)
 
 
 def _cut_matrix(n, cap, p=None):
@@ -277,10 +303,12 @@ def _symmetry_matrix(n):
     """The 2- and 3-cycle conditions on the specials of degree n, one
     column per special: the matrix whose kernel gives the hex space."""
     d = len(_lyndon_tuples((1, 1), n))
+    basis = _lyndon_tuples((1, 1), n)
     specials = [from_coordinates(XY, n, v[:d])
-                for v in kernel_basis(ihara._special_pair_matrix(n))]
-    return [list(row) for row in
-            zip(*(ihara._symmetry_rows(f, n) for f in specials))]
+                for v in kernel_basis(_special_pair_dense(n))]
+    return [list(row) for row in zip(*(
+        [defect.get(w, 0) for defect in ihara._symmetry_rows(f, n)
+         for w in basis] for f in specials))]
 
 
 def _differential_inputs():
@@ -302,7 +330,7 @@ def _differential_inputs():
         yield [[rng.randint(-5, 5)] for _ in range(k)]
         yield [[0] * k]
     for n in range(2, 11):
-        yield ihara._special_pair_matrix(n)
+        yield _special_pair_dense(n)
         for cap in (ihara._A1_CAP, None) if n <= 8 else (ihara._A1_CAP,):
             m = _cut_matrix(n, cap)
             if m:
@@ -335,23 +363,40 @@ def test_eliminator_matches_dense_reference():
         for v in probes:
             assert in_row_space(m, v) == (
                 len(_echelon_int(m + [v])[0]) == len(ech))
-        for p in (2, 3, 23, 101):
-            r = _reference_rank_mod(m, p)
-            assert rank_mod(m, p) == r
-            kernel = _kernel(m, p)
-            assert len(kernel) == ncols - r
-            for v in kernel:
-                assert all(s % p == 0 for s in _mat_vec(_rows_mod(m, p), v))
+        _check_column_kernel(m, [{i: row[j] for i, row in enumerate(m)
+                                  if row[j]} for j in range(ncols)])
+    # tuple row keys and an empty column
+    m = _rank_deficient(random.Random(312), 6, 5, 3)
+    for row in m:
+        row[2] = 0
+    cols = [{("r", i % 3, i): row[j] for i, row in enumerate(m) if row[j]}
+            for j in range(5)]
+    assert cols[2] == {}
+    _check_column_kernel(m, cols)
+
+
+def _check_column_kernel(m, cols):
+    """_column_kernel of the columns of m, given as sparse dicts, is
+    kernel_basis(m) over Q; mod p its vectors annihilate m and there are
+    ncols - rank_mod(m, p) of them."""
+    assert _column_kernel(cols) == kernel_basis(m)
+    for p in (2, 3, 23, 101):
+        r = _reference_rank_mod(m, p)
+        assert rank_mod(m, p) == r
+        kernel = _column_kernel(cols, p)
+        assert len(kernel) == len(cols) - r
+        for v in kernel:
+            assert all(s % p == 0 for s in _mat_vec(_rows_mod(m, p), v))
 
 
 def test_five_cycle_echelon_matches_dense_reference():
     for n in range(2, 11):
         hexes = ihara._hex_pairs(n)
         dense = _cut_matrix(n, ihara._A1_CAP)
-        red, pivots = ihara._five_cycle_echelon(n, hexes, ihara._A1_CAP)
+        red, pivots = _cut_echelon(n, ihara._A1_CAP)
         assert pivots == _echelon_int(dense)[1]
         if dense:
-            assert (ihara._kernel_of_echelon(red, pivots, len(hexes))
+            assert (_kernel_of_echelon(red, pivots, len(hexes))
                     == _kernel_by_fractions(dense))
 
 
