@@ -23,10 +23,10 @@ from .derivations import (Derivation, XY, X, Y, der_bracket,
                           derivation_from_coordinates,
                           derivation_space_dim, inner, inner_matrix,
                           outder_dim)
-from .ihara import (check_congruence, five_cycle_route, freeness_table,
-                    ihara_bracket, is_stable, soule_generator, special_basis,
-                    special_dim, special_dim_mod, special_witness,
-                    stable_derivation)
+from .ihara import (check_congruence, five_cycle_budget, five_cycle_route,
+                    freeness_table, ihara_bracket, is_stable,
+                    soule_generator, special_basis, special_dim,
+                    special_dim_mod, special_witness, stable_derivation)
 from .motivic import (NumberFieldProfile, RATIONAL_PROFILE, dn, ext_dim,
                       image_model_dims, k_graded_dims)
 from .malcev import (FreeGroup, LatticeTimesCyclic, NilpotentElement,

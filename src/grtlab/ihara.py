@@ -39,9 +39,8 @@ from typing import Mapping, Sequence
 from .derivations import X, XY, Y, Derivation
 from .errors import (DegenerateLeadingTermError, NotOneDimensionalError,
                      PreconditionError, SpecialConditionError)
-from .lie import (LieElement, _bracket_graded, _bracket_into, _merge_scaled,
-                  _split_by, _word_images, bracket, from_coordinates,
-                  lie_to_string)
+from .lie import (LieElement, _bracket_into, _merge_scaled, _split_by,
+                  _word_images, bracket, from_coordinates, lie_to_string)
 from .linalg import (FullRankSolver, _check_prime, _column_kernel, _echelon,
                      _positive, _reduce, _sparse)
 from .motivic import image_model_dims
@@ -51,14 +50,15 @@ Z = LieElement(XY, {(0,): -1, (1,): -1})
 
 #: Default cap on the degree of stable-space computations offered by the
 #: command line.  On a 2-core VM (Python 3.11) a cold ``ihara freeness
-#: --max-degree N``, timed as a child process, takes 0.5 s for N = 10,
-#: 1.1 s for 11 and 3.4-4.5 s for 12, at a peak RSS of 66 MiB.
+#: --max-degree N``, timed as a child process, takes 0.4 s for N = 10,
+#: 1.1 s for 11 and 2.4 s for 12, at a peak RSS of 38 MiB.
 DEFAULT_MAX_DEGREE = 12
 #: Highest degree the command line accepts.  On the same VM N = 13 takes
-#: 28-35 s at 187 MiB and N = 14 takes 130 s at 553 MiB.  At degree 13
-#: the hex build takes 5 s and the 5-cycle evaluation in the quotient
-#: 18-21 s.  Degree 15 spent 553 s in the quotient 5-cycle cut alone,
-#: near 2 GB.
+#: 8-11 s at 76 MiB and N = 14 takes 36 s at 191 MiB.  The degree-14
+#: step, with the lower degrees built, is 30 s: 19 s of hex build and
+#: 11 s of 5-cycle cut under the budget (1, 5).  Degree 15, through the
+#: library, takes 282 s from cold caches at 858 MiB, 124 s of it in the
+#: hex build and 118 s in the 5-cycle step under (1, 6).
 HARD_MAX_DEGREE = 14
 
 
@@ -70,20 +70,14 @@ HARD_MAX_DEGREE = 14
 # and base over x, y.
 #
 # Every function here takes a fiber budget ``cap``: None keeps the whole
-# fiber, and _A1_CAP keeps the fiber words of a1-degree <= 1 only.  The
-# Lyndon words with two or more a1 letters span an ideal of F(a1, a2, a3),
-# and the base action never lowers a1-degree (x sends a1 to [a1, a2] and
-# a2 to [a2, a1], y moves only a2 and a3), so the ideal is stable.
-# Dropping its words after every fiber bracket and every action step is
-# then a Lie homomorphism of the model onto its quotient, which keeps
-# witt(2, n) + 2^(n-1) fiber words in degree n instead of witt(3, n).
-# Base dicts are never pruned.  The action caches and the evaluations of
-# words below the degree being cut are global, keyed by budget and shared
-# across degrees; the 5-cycle sums of degree-n elements are built on
-# demand and not kept.
+# fiber, and a grade pair (c1, c2) keeps the fiber words of a1-degree
+# <= c1 and a2-degree <= c2 only (c2 None: no a2 cap), which is a Lie
+# homomorphism of the model onto a quotient (see _budgets).  Base dicts
+# are never pruned.  The action caches and the evaluations of words below
+# the degree being cut are global, keyed by budget and shared across
+# degrees; the 5-cycle sums of degree-n elements are built on demand and
+# not kept.
 # ---------------------------------------------------------------------
-
-_A1_CAP = 1
 
 _A1 = {(0,): 1}
 _A2 = {(1,): 1}
@@ -91,8 +85,8 @@ _A3 = {(2,): 1}
 
 # Images of the fiber letters under the action of the base letters: x
 # moves the chord a1 a2 pair, y the a2 a3 pair, matching the relations
-# among chords of five points on a sphere.  Their a1-degree is at most 1,
-# so they lie inside both budgets.
+# among chords of five points on a sphere.  Their a1-degree and a2-degree
+# are at most 1, so they lie inside every budget.
 _LETTER_IM = {
     (0,): (_bracket_into({}, _A1, _A2), _bracket_into({}, _A2, _A1), {}),
     (1,): ({}, _bracket_into({}, _A2, _A3), _bracket_into({}, _A3, _A2)),
@@ -102,17 +96,47 @@ _ACT_IM: dict = {}
 _ACT_ON_WORD: dict = {}
 
 
-def _a1_degree(w) -> int:
-    return w.count(0)
+def _budgets(n: int) -> tuple:
+    """The fiber budgets tried in degree n, in order, each only where the
+    one before misses the lower bound (see :func:`_stable_pairs`): a1 <= 1
+    with a2 <= max(4, n - 9), then a1 <= 1 alone, then the full fiber.
+
+    Why a budget (c1, c2) is exact: the base action never lowers
+    a1-degree or a2-degree, since x sends a1 to [a1, a2] and a2 to
+    [a2, a1], and y sends a2 to [a2, a3] and a3 to [a3, a2].  So the
+    Lyndon words of a1-degree > c1 span an ideal of F(a1, a2, a3) stable
+    under the action, so do those of a2-degree > c2, and so does the sum
+    of the two.  The chords have a1-degree and a2-degree <= 1, and so
+    survive.  Dropping the words over the budget after every fiber bracket
+    and every action step is then a Lie homomorphism of the model onto its
+    quotient, and the kernel of the quotient 5-cycle sum contains D_n; a
+    larger c2 gives a finer quotient, whose kernel lies inside.
+
+    With a1 <= 1 alone the quotient keeps witt(2, n) + 2^(n-1) fiber words
+    in degree n instead of witt(3, n); the cap k on a2 cuts the 2^(n-1)
+    a1-linear ones to the sum over j <= k of C(n - 1, j).  The schedule
+    for k met the bound in every degree measured, 2 to 15; the smallest
+    caps that meet it are 4 in degree 11, 3 in 12, 4 in 13 and 5 in 14."""
+    return (1, max(4, n - 9)), (1, None), None
+
+
+def _grade(w) -> tuple[int, int]:
+    return w.count(0), w.count(1)
 
 
 def _fiber_bracket(acc: dict, t1: Mapping, t2: Mapping, cap) -> dict:
-    """acc += [t1, t2] on fiber dicts; under a budget, pairs of words
-    whose a1-degrees add up to more than ``cap`` are skipped."""
+    """acc += [t1, t2] on fiber dicts; under a budget (c1, c2), pairs of
+    words whose a1-degrees add up to more than c1, or whose a2-degrees add
+    up to more than c2, are skipped."""
     if cap is None:
         return _bracket_into(acc, t1, t2)
-    return _bracket_graded(acc, _split_by(t1, _a1_degree),
-                           _split_by(t2, _a1_degree), cap)
+    c1, c2 = cap
+    g2 = _split_by(t2, _grade)
+    for (i1, j1), s1 in _split_by(t1, _grade).items():
+        for (i2, j2), s2 in g2.items():
+            if i1 + i2 <= c1 and (c2 is None or j1 + j2 <= c2):
+                _bracket_into(acc, s1, s2)
+    return acc
 
 
 def _act_im(w, cap):
@@ -253,12 +277,13 @@ def _cut(n: int, hexes, cap, p=None) -> tuple:
 
 def clear_caches() -> None:
     """Drop the stable-space caches: per-degree matrices, solvers and
-    bases; under both fiber budgets, 5-cycle evaluations of words and the
+    bases; under every fiber budget, 5-cycle evaluations of words and the
     action of base words on fiber letters and words; and the derivations
-    that :func:`ihara_bracket` keeps per operand.  Later calls rebuild
-    them, with identical results."""
+    and verdicts that :func:`ihara_bracket` keeps per operand.  Later
+    calls rebuild them, with identical results."""
     for cached in (_special_pair_matrix, _ad_z, _symmetry_images,
-                   _hex_pairs, _stable_pairs, _operand_derivation):
+                   _hex_pairs, _stable_pairs, _operand_derivation,
+                   _operand_is_stable):
         cached.cache_clear()
     for cache in (*_EVAL_CACHE, _ACT_ON_WORD, _ACT_IM):
         cache.clear()
@@ -301,17 +326,17 @@ def _symmetry_images(n: int) -> dict:
     return out
 
 
-def _symmetry_rows(f: LieElement, n: int) -> tuple[dict, dict]:
-    """The 2-cycle and 3-cycle defects of f, which is homogeneous of
-    degree n, as raw dicts over degree-n words."""
+def _symmetry_rows(f: LieElement, n: int, parts=(0, 1)) -> tuple[dict, ...]:
+    """The 2-cycle (part 0) and 3-cycle (part 1) defects of f, which is
+    homogeneous of degree n, as raw dicts over degree-n words; only the
+    ``parts`` named are built."""
     images = _symmetry_images(n)
-    tau: dict = {}
-    cyc: dict = {}
+    rows = tuple({} for _ in parts)
     for w, c in f.terms.items():
-        tw, cw = images[w]
-        _merge_scaled(tau, tw, c)
-        _merge_scaled(cyc, cw, c)
-    return tau, cyc
+        im = images[w]
+        for row, i in zip(rows, parts):
+            _merge_scaled(row, im[i], c)
+    return rows
 
 
 @functools.lru_cache(maxsize=None)
@@ -350,17 +375,19 @@ def _combine(combos, elements, p=None) -> list[dict]:
 
 @functools.lru_cache(maxsize=None)
 def _stable_pairs(n: int, p: int | None = None) -> tuple:
-    """D_n as (basis, rows, pivots, route): its canonical basis, the same
+    """D_n as (basis, rows, pivots, budget): its canonical basis, the same
     basis as reduced echelon rows keyed by Lyndon word with their pivot
-    words (see :func:`_cut`), and the route that decided the 5-cycle cut.
+    words (see :func:`_cut`), and the fiber budget that decided the
+    5-cycle cut.
     With a prime ``p`` every stage runs over GF(p) instead (see
     :func:`special_dim_mod`).  The name is kept, though no witnesses are
     carried, because the benchmark hooks it (``perfbench/spans.py``).
 
-    The cut is first made in the a1-degree <= 1 quotient of the fiber (see
-    the notes above the 5-cycle code).  The quotient map sends the full
-    5-cycle sum to the quotient one, so its kernel K_q contains D_n.  Two
-    theorems bound dim D_n from below, in terms of lower degrees only:
+    The cut is first made in a quotient of the fiber, the words of
+    a1-degree <= 1 and a2-degree <= k (see the notes above the 5-cycle
+    code and :func:`_budgets`).  The quotient map sends the full 5-cycle
+    sum to the quotient one, so its kernel K_q contains D_n.  Two theorems
+    bound dim D_n from below, in terms of lower degrees only:
 
     * D is closed under the Ihara bracket (Ihara), so the span B_n of the
       brackets <f, g> of basis elements of degrees adding up to n lies in
@@ -372,26 +399,31 @@ def _stable_pairs(n: int, p: int | None = None) -> tuple:
     The bound, dim B_n + [n odd, n >= 3] from :func:`_lower_bound`, reads
     D_m for m < n only, and those are decided first: the argument is an
     induction on the degree.  Where dim K_q meets the bound, K_q = D_n and
-    the route is "bounds"; otherwise the hex space is cut over the full
-    fiber and the route is "full".
+    that budget decides.  Otherwise the next budget cuts: the a1-degree
+    <= 1 quotient alone, whose kernel lies inside the first one, and then
+    the full fiber, which needs no bound.
     """
     if n < 2:
         return (), (), (), None
     hexes = _hex_pairs(n, p)
     # The evaluator skips the base part, f + f(y, x); it must vanish here.
-    if any(_sparse(_symmetry_rows(f, n)[0], p) for f in hexes):
+    # Only the 2-cycle defect is built: the 3-cycle images are dense.
+    if any(_sparse(_symmetry_rows(f, n, (0,))[0], p) for f in hexes):
         raise AssertionError(
             "5-cycle base component failed to cancel on a 2-cycle "
             "symmetric element")
-    cut, route = _cut(n, hexes, _A1_CAP, p), "bounds"
-    bound, dim_q = _lower_bound(n, cut, p), len(cut[0])
-    if bound > dim_q:
-        raise AssertionError(
-            f"degree {n}: lower bound {bound} exceeds the dimension {dim_q} "
-            "of the quotient cut")
-    if bound < dim_q:
-        cut, route = _cut(n, hexes, None, p), "full"
-    return (*cut, route)
+    for budget in _budgets(n):
+        cut = _cut(n, hexes, budget, p)
+        if budget is None:
+            break
+        bound, dim_q = _lower_bound(n, cut, p), len(cut[0])
+        if bound > dim_q:
+            raise AssertionError(
+                f"degree {n}: lower bound {bound} exceeds the dimension "
+                f"{dim_q} of the quotient cut under budget {budget}")
+        if bound == dim_q:
+            break
+    return (*cut, budget)
 
 
 def _lower_bound(n: int, cut, p=None) -> int:
@@ -423,13 +455,23 @@ def _lower_bound(n: int, cut, p=None) -> int:
 def five_cycle_route(n: int) -> str:
     """Which route decided the 5-cycle cut in degree n >= 2.
 
-    "bounds": the cut in the a1-degree <= 1 quotient of the fiber has the
-    dimension of the lower bound from two theorems, closure of D under the
-    Ihara bracket and a Soule element in each odd degree n >= 3, applied
-    to the lower degrees, which are decided first (induction on n); so
-    the quotient cut is D_n itself.  "full": the bound fell short, and
-    the hex space was cut over the full fiber.  See :func:`_stable_pairs`.
+    "bounds": the cut in a quotient of the fiber has the dimension of the
+    lower bound from two theorems, closure of D under the Ihara bracket
+    and a Soule element in each odd degree n >= 3, applied to the lower
+    degrees, which are decided first (induction on n); so the quotient cut
+    is D_n itself.  "full": the bound fell short in every quotient, and
+    the hex space was cut over the full fiber.  :func:`five_cycle_budget`
+    says which quotient; see :func:`_stable_pairs`.
     """
+    return "full" if five_cycle_budget(n) is None else "bounds"
+
+
+def five_cycle_budget(n: int) -> tuple | None:
+    """The fiber budget that decided the 5-cycle cut in degree n >= 2:
+    (1, k) for the quotient by the fiber words of a1-degree > 1 or
+    a2-degree > k, (1, None) for the a1-degree quotient alone, None for
+    the full fiber.  The schedule tries (1, max(4, n - 9)) first, which
+    decided every degree measured, 2 to 15."""
     if n < 2:
         raise PreconditionError("degree must be >= 2")
     return _stable_pairs(n)[3]
@@ -555,6 +597,13 @@ def _operand_derivation(p: LieElement) -> Derivation:
     return stable_derivation(p)
 
 
+@functools.lru_cache(maxsize=64)
+def _operand_is_stable(p: LieElement) -> bool:
+    """The cheap stable-space conditions on the operand p, kept per
+    primitive operand like :func:`_operand_derivation`."""
+    return is_stable(p, check_five_cycle=False)
+
+
 def _split_operand(f: LieElement) -> tuple:
     """(c, p) with f = c p exactly.  For nonzero f with int and Fraction
     coefficients, c = +-gcd(numerators) / lcm(denominators), signed so
@@ -573,10 +622,9 @@ def _split_operand(f: LieElement) -> tuple:
         for w, a in f.terms.items()})
 
 
-def _apply_cached(f: LieElement, e: LieElement) -> LieElement:
-    """D_f(e) as c D_p(e), with f = c p split by :func:`_split_operand`
-    and D_p from :func:`_operand_derivation`."""
-    c, p = _split_operand(f)
+def _apply_cached(c, p: LieElement, e: LieElement) -> LieElement:
+    """D_f(e) as c D_p(e), for f split as c p by :func:`_split_operand`,
+    with D_p from :func:`_operand_derivation`."""
     image = _operand_derivation(p)(e)
     return image if c == 1 else image.scale(c)
 
@@ -594,14 +642,17 @@ def ihara_bracket(f: LieElement, g: LieElement,
     :func:`_split_operand`), and D_p comes from a cache of at most 64
     derivations that keep their word images, so later brackets with p or
     any multiple of it reuse them; D_f(g) is then c D_p(g).
-    :func:`clear_caches` drops that cache.
+    The verdict of the check is kept beside D_p, since rescaling does not
+    change it.  :func:`clear_caches` drops both caches.
     """
+    (cf, pf), (cg, pg) = _split_operand(f), _split_operand(g)
     if verify:
-        for name, e in (("left", f), ("right", g)):
-            if not is_stable(e, check_five_cycle=False):
+        for name, p in (("left", pf), ("right", pg)):
+            if not _operand_is_stable(p):
                 raise SpecialConditionError(
                     f"{name} operand fails the stable-space conditions")
-    return _apply_cached(f, g) - _apply_cached(g, f) + bracket(f, g)
+    return (_apply_cached(cf, pf, g) - _apply_cached(cg, pg, f)
+            + bracket(f, g))
 
 
 # ---------------------------------------------------------------------

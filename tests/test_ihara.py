@@ -33,8 +33,9 @@ from grtlab import (
 from grtlab import ihara
 from grtlab.cli import run
 from grtlab.derivations import X, XY, Y
-from grtlab.ihara import (_A1_CAP, _eval_word, _hex_pairs, _pentagon_rows,
-                          _symmetry_images, five_cycle_route)
+from grtlab.ihara import (_eval_word, _hex_pairs, _pentagon_rows,
+                          _symmetry_images, five_cycle_budget,
+                          five_cycle_route)
 from grtlab.lie import _merge_scaled, from_coordinates
 from grtlab.linalg import _echelon, _sparse
 from grtlab.words import _lyndon_tuples
@@ -45,6 +46,10 @@ from conftest import random_homogeneous
 # test_freeness_table; degrees 11 and 12 live in the slow tests
 STABLE_DIMS = {2: 0, 3: 1, 4: 0, 5: 1, 6: 0, 7: 1, 8: 1, 9: 1, 10: 1}
 PRIMES = [23, 101, 997]
+# the fiber budget of the a1-degree <= 1 quotient alone, and the first
+# budget the schedule tries through degree 13
+A1_ONLY = (1, None)
+SCHEDULED = (1, 4)
 
 
 def test_stable_dims_through_10():
@@ -66,6 +71,7 @@ def test_stable_dims_11_12():
 def test_stable_dim_13():
     assert special_dim(13) == 3
     assert five_cycle_route(13) == "bounds"
+    assert five_cycle_budget(13) == SCHEDULED
 
 
 def _cold_bases(degrees):
@@ -113,6 +119,45 @@ def test_short_bound_falls_back_to_full_route(monkeypatch):
     assert got == {**want, 9: got[9]}
 
 
+def test_missed_budget_falls_back_to_a1_quotient(monkeypatch):
+    # With a2 <= 2 the quotient cut misses the bound in degree 10 (dim 2
+    # against 1), and the a1-degree quotient alone decides it.
+    want = {n: special_basis(n) for n in range(2, 11)}
+    monkeypatch.setattr(ihara, "_budgets",
+                        lambda n: ((1, 2), A1_ONLY, None))
+    try:
+        ihara.clear_caches()
+        got = {n: (special_basis(n), five_cycle_budget(n))
+               for n in range(2, 11)}
+        assert five_cycle_route(10) == "bounds"
+        assert len(ihara._cut(10, _hex_pairs(10), (1, 2))[0]) == 2
+    finally:
+        ihara.clear_caches()
+    assert {n: b for n, (b, _) in got.items()} == want
+    assert {n: budget for n, (_, budget) in got.items()} == {
+        **{n: (1, 2) for n in range(2, 10)}, 10: A1_ONLY}
+
+
+@pytest.mark.slow
+def test_scheduled_cut_matches_a1_cut_11_13(monkeypatch):
+    # a second route at the height of the first: the cut in the a1-degree
+    # quotient alone, which the schedule tries only after a miss
+    degrees = range(2, 14)
+    try:
+        scheduled = {n: (special_basis(n), five_cycle_budget(n))
+                     for n in degrees}
+        monkeypatch.setattr(ihara, "_budgets", lambda n: (A1_ONLY, None))
+        ihara.clear_caches()
+        a1_only = {n: (special_basis(n), five_cycle_budget(n))
+                   for n in degrees}
+    finally:
+        ihara.clear_caches()
+    assert {b for _, b in scheduled.values()} == {SCHEDULED}
+    assert {b for _, b in a1_only.values()} == {A1_ONLY}
+    assert ({n: b for n, (b, _) in scheduled.items()}
+            == {n: b for n, (b, _) in a1_only.items()})
+
+
 def test_bracket_outside_cut_is_a_bug(monkeypatch):
     # D_10 is spanned by <s3, s7>; a hex element outside it in its place
     # must fail the exactness guard as a bug, not as a precondition.
@@ -140,12 +185,12 @@ def test_modular_dims_match_rational():
         for p in PRIMES + [2 ** 31 - 1]:
             assert special_dim_mod(n, p) == special_dim(n)
             # the cut mod p is the canonical basis of D_n reduced mod p
-            _, rows, pivots, route = ihara._stable_pairs(n, p)
+            _, rows, pivots, budget = ihara._stable_pairs(n, p)
             terms = [_sparse(f.terms, p) for f in special_basis(n)]
             assert (list(rows), list(pivots)) == _echelon(
                 terms, p, reduced=True)
             assert all(0 <= c < p for row in rows for c in row.values())
-            assert route == "bounds"
+            assert budget == SCHEDULED
 
 
 @pytest.mark.slow
@@ -160,6 +205,13 @@ def test_modular_dims_10_12():
             assert special_dim_mod(n, p) == special_dim(n)
 
 
+@pytest.mark.slow
+def test_modular_dim_13():
+    p = 2 ** 31 - 1
+    assert special_dim_mod(13, p) == special_dim(13) == 3
+    assert ihara._stable_pairs(13, p)[3] == five_cycle_budget(13)
+
+
 def test_modular_short_bound_falls_back_to_full_route(monkeypatch):
     # A bound of -1 is never met, so the modular route cuts every degree
     # over the full fiber mod p, and must still agree.
@@ -169,7 +221,7 @@ def test_modular_short_bound_falls_back_to_full_route(monkeypatch):
         ihara.clear_caches()
         for n in range(2, 9):
             assert special_dim_mod(n, 101) == want[n]
-            assert ihara._stable_pairs(n, 101)[3] == "full"
+            assert ihara._stable_pairs(n, 101)[3] is None
     finally:
         ihara.clear_caches()
 
@@ -208,7 +260,7 @@ def _pentagon_by_word(elements, cap):
 
 
 def test_pentagon_rows_match_per_word_route():
-    for cap in (None, _A1_CAP):
+    for cap in (None, A1_ONLY, SCHEDULED):
         for n in range(3, 11):
             hexes = [f.terms for f in _hex_pairs(n)]
             assert (_pentagon_rows(n, hexes, cap)
@@ -220,15 +272,23 @@ def test_pentagon_rows_match_per_word_route():
 
 
 def test_quotient_evaluation_is_the_pruned_full_one():
-    # The words of a1-degree >= 2 span an ideal stable under the action,
-    # so pruning at every step equals pruning the full 5-cycle sum once.
+    # The words of a1-degree >= 2, and those of a2-degree > k, span ideals
+    # stable under the action, so pruning at every step equals pruning
+    # the full 5-cycle sum once.
     for n in range(2, 10):
-        for elements in ([f.terms for f in _hex_pairs(n)],
+        hexes = [f.terms for f in _hex_pairs(n)]
+        for elements in (hexes,
                          [{w: 1} for w in _lyndon_tuples((1, 1), n)]):
             full = _pentagon_rows(n, elements, None)
-            assert _pentagon_rows(n, elements, _A1_CAP) == [
-                {v: c for v, c in col.items() if v.count(0) <= _A1_CAP}
-                for col in full]
+            if elements is hexes:
+                # modulo the ideal generated by a1, the 5-cycle sum of a
+                # 2-cycle symmetric element vanishes
+                assert all(v.count(0) for col in full for v in col)
+            for c1, c2 in (A1_ONLY, (1, 2), (1, 3)):
+                assert _pentagon_rows(n, elements, (c1, c2)) == [
+                    {v: c for v, c in col.items() if v.count(0) <= c1
+                     and (c2 is None or v.count(1) <= c2)}
+                    for col in full]
 
 
 def test_pentagon_base_part_is_two_cycle_defect():
@@ -422,6 +482,28 @@ def test_ihara_bracket_verifies_operands():
 SCALES = [1, -1, 3, -2, Fraction(1, 2), Fraction(-3, 4)]
 
 
+def test_ihara_bracket_verifies_each_primitive_operand_once(monkeypatch):
+    s3, s5 = soule_generator(3), soule_generator(5)
+    bad = bracket(X, Y)
+    checked = []
+    check = ihara.is_stable
+    monkeypatch.setattr(ihara, "is_stable", lambda f, **kw: (
+        checked.append(f) or check(f, **kw)))
+    ihara.clear_caches()
+    try:
+        for s in SCALES:
+            assert (ihara_bracket(s3.scale(s), s5.scale(-s))
+                    == ihara_bracket(s3, s5).scale(-s * s))
+            with pytest.raises(SpecialConditionError, match="left operand"):
+                ihara_bracket(bad.scale(s), s3)
+            with pytest.raises(SpecialConditionError, match="right operand"):
+                ihara_bracket(s5, bad.scale(s))
+    finally:
+        ihara.clear_caches()
+    # one check per primitive operand, whatever the scale
+    assert checked == [s3, s5, bad]
+
+
 def _reference_bracket(f, g):
     """<f, g> from fresh derivations, with no cache across calls."""
     return stable_derivation(f)(g) - stable_derivation(g)(f) + bracket(f, g)
@@ -570,23 +652,25 @@ def test_clear_caches_rebuilds_identical_bases():
     before = {n: special_basis(n) for n in range(2, 10)}
     # fill the full-fiber caches too, next to the quotient ones
     _pentagon_rows(8, [f.terms for f in _hex_pairs(8)], None)
-    assert {k[0] for k in ihara._ACT_ON_WORD} == {None, _A1_CAP}
+    assert {k[0] for k in ihara._ACT_ON_WORD} == {None, SCHEDULED}
     ihara_bracket(before[3][0], before[5][0])
     assert ihara._operand_derivation.cache_info().currsize
+    assert ihara._operand_is_stable.cache_info().currsize
     ihara.clear_caches()
     assert not any(ihara._EVAL_CACHE) and not ihara._ACT_ON_WORD
     assert not ihara._ACT_IM
     # every lru_cache of the module, so that a new one is not missed: five
-    # per-degree caches and the per-operand derivations of ihara_bracket
+    # per-degree caches, and the per-operand derivations and verdicts of
+    # ihara_bracket
     cached = [f for f in vars(ihara).values() if hasattr(f, "cache_info")
               and f.__module__ == ihara.__name__]
-    assert len(cached) == 6
+    assert len(cached) == 7
     assert all(f.cache_info().currsize == 0 for f in cached)
     assert ihara._operand_derivation.cache_info().currsize == 0
     assert {n: special_basis(n) for n in range(2, 10)} == before
     # the bounds decided every degree, so only the quotient was evaluated,
     # and only on the factors of degree-9 words, not on the words
     keys = [k for c in (*ihara._EVAL_CACHE, ihara._ACT_IM) for k in c]
-    assert {cap for cap, _ in keys} == {_A1_CAP}
-    assert {k[0] for k in ihara._ACT_ON_WORD} == {_A1_CAP}
+    assert {cap for cap, _ in keys} == {SCHEDULED}
+    assert {k[0] for k in ihara._ACT_ON_WORD} == {SCHEDULED}
     assert max(len(w) for c in ihara._EVAL_CACHE for _, w in c) == 8

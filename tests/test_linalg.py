@@ -28,6 +28,10 @@ from grtlab.words import _lyndon_tuples
 from conftest import random_int_matrix
 
 PRIMES = [23, 101, 997]
+# 5-cycle fiber budgets: the a1-degree <= 1 quotient alone, and the one
+# the schedule tries first through degree 13
+A1_ONLY = (1, None)
+SCHEDULED = (1, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +255,7 @@ def test_kernel_read_off_matches_fraction_route():
 
 def test_kernel_read_off_leaves_cached_echelon_alone():
     for n in (7, 9, 10):
-        red, pivots = _cut_echelon(n, ihara._A1_CAP)
+        red, pivots = _cut_echelon(n, A1_ONLY)
         before = [dict(row) for row in red], list(pivots)
         _kernel_of_echelon(red, pivots, len(ihara._hex_pairs(n)))
         assert (red, pivots) == before
@@ -331,7 +335,8 @@ def _differential_inputs():
         yield [[0] * k]
     for n in range(2, 11):
         yield _special_pair_dense(n)
-        for cap in (ihara._A1_CAP, None) if n <= 8 else (ihara._A1_CAP,):
+        for cap in ((A1_ONLY, SCHEDULED, None) if n <= 8
+                    else (A1_ONLY, SCHEDULED)):
             m = _cut_matrix(n, cap)
             if m:
                 yield m
@@ -340,7 +345,7 @@ def _differential_inputs():
         if m:
             yield m
     for n in range(5, 10):
-        m = _cut_matrix(n, ihara._A1_CAP, 101)
+        m = _cut_matrix(n, A1_ONLY, 101)
         if m:
             yield m
 
@@ -392,12 +397,13 @@ def _check_column_kernel(m, cols):
 def test_five_cycle_echelon_matches_dense_reference():
     for n in range(2, 11):
         hexes = ihara._hex_pairs(n)
-        dense = _cut_matrix(n, ihara._A1_CAP)
-        red, pivots = _cut_echelon(n, ihara._A1_CAP)
-        assert pivots == _echelon_int(dense)[1]
-        if dense:
-            assert (_kernel_of_echelon(red, pivots, len(hexes))
-                    == _kernel_by_fractions(dense))
+        for cap in (A1_ONLY, SCHEDULED):
+            dense = _cut_matrix(n, cap)
+            red, pivots = _cut_echelon(n, cap)
+            assert pivots == _echelon_int(dense)[1]
+            if dense:
+                assert (_kernel_of_echelon(red, pivots, len(hexes))
+                        == _kernel_by_fractions(dense))
 
 
 def test_full_rank_solver_roundtrip():
