@@ -42,8 +42,8 @@ from .errors import (AlphabetMismatchError, DegenerateLeadingTermError,
                      SpecialConditionError)
 from .lie import (LieElement, _bracket_into, _merge_scaled, _split_by,
                   _word_images, bracket, from_coordinates, lie_to_string)
-from .linalg import (FullRankSolver, _check_prime, _column_kernel, _echelon,
-                     _positive, _reduce, _sparse)
+from .linalg import (_check_prime, _column_kernel, _echelon, _positive,
+                     _reduce, _sparse)
 from .motivic import image_model_dims
 from .words import _lyndon_tuples, _std_factorization
 
@@ -273,20 +273,21 @@ def _cut(n: int, hexes, cap, p=None) -> tuple:
 # Everything that depends on the degree n alone is cached per degree, so
 # that queries reuse it: is_stable reduces against the echelon rows of
 # D_n, and special_witness and the operand check of the verified bracket
-# use the factored ad(z) matrix and the 2-cycle and 3-cycle images of
-# each Lyndon word.  The hex basis is cached too.
+# read the special-pair kernel, as reduced echelon rows, and the 2-cycle
+# and 3-cycle images of each Lyndon word.  The hex basis is cached too.
 # ---------------------------------------------------------------------
 
 def clear_caches() -> None:
-    """Drop the stable-space caches: per-degree matrices, solvers and
-    bases; under every fiber budget, 5-cycle evaluations of words and the
-    action of base words on fiber letters and words; and what
+    """Drop the stable-space caches: per-degree matrices, kernels, echelon
+    rows and bases; under every fiber budget, 5-cycle evaluations of words
+    and the action of base words on fiber letters and words; and what
     :func:`ihara_bracket` keeps: the derivations and verdicts per operand
     and the brackets per pair of operands.  Later calls rebuild them,
     with identical results."""
-    for cached in (_special_pair_matrix, _ad_z, _symmetry_images,
-                   _hex_pairs, _stable_pairs, _operand_derivation,
-                   _operand_is_stable, _primitive_bracket):
+    for cached in (_special_pair_matrix, _special_pairs, _witness_rows,
+                   _symmetry_images, _hex_pairs, _stable_pairs,
+                   _operand_derivation, _operand_is_stable,
+                   _primitive_bracket):
         cached.cache_clear()
     for cache in (*_EVAL_CACHE, _ACT_ON_WORD, _ACT_IM):
         cache.clear()
@@ -304,13 +305,26 @@ def _special_pair_matrix(n: int) -> list[dict]:
 
 
 @functools.lru_cache(maxsize=None)
-def _ad_z(n: int) -> FullRankSolver:
-    """ad(z) from degree n to degree n + 1, factored for solving; it is
-    injective for n >= 2.  The solver takes the dense matrix."""
-    cols = [_bracket_into({}, Z.terms, {w: 1})
-            for w in _lyndon_tuples((1, 1), n)]
-    return FullRankSolver([[col.get(v, 0) for col in cols]
-                           for v in _lyndon_tuples((1, 1), n + 1)])
+def _special_pairs(n: int, p: int | None = None) -> tuple:
+    """The kernel of :func:`_special_pair_matrix`, over GF(p) when ``p``
+    is given: dense vectors (f, u), f then u over the degree-n Lyndon
+    basis, with [y, f] = [z, u]."""
+    return tuple(_column_kernel(_special_pair_matrix(n), p))
+
+
+@functools.lru_cache(maxsize=None)
+def _witness_rows(n: int) -> tuple:
+    """The rational special-pair kernel in degree n as (rows, pivots): its
+    reduced echelon rows, sparse over the columns 0..d-1 of f and d..2d-1
+    of u, and their pivot columns.  ad(z) is injective in degree >= 2, so
+    no kernel vector is zero on f and every pivot is an f column."""
+    d = len(_lyndon_tuples((1, 1), n))
+    rows, pivots = _echelon([_sparse(v) for v in _special_pairs(n)],
+                            reduced=True)
+    if any(c >= d for c in pivots):
+        raise AssertionError(
+            f"degree {n}: special-pair kernel vector with f = 0")
+    return tuple(rows), tuple(pivots)
 
 
 @functools.lru_cache(maxsize=None)
@@ -346,14 +360,14 @@ def _symmetry_rows(f: LieElement, n: int, parts=(0, 1)) -> tuple[dict, ...]:
 def _hex_pairs(n: int, p: int | None = None) -> tuple:
     """Basis of the hex space, over GF(p) when ``p`` is given: the f
     satisfying special, 2-cycle and 3-cycle, before the 5-cycle cut, from
-    the f halves of the special-pair kernel.  The name is kept, though
-    entries are no longer (f, u) pairs, because the benchmark hooks it
-    (``perfbench/spans.py``).  The symmetry cut has one sparse column per
-    special, its 2-cycle defect keyed by word and its 3-cycle defect by
-    (1, word)."""
+    the f halves of the cached special-pair kernel (:func:`_special_pairs`,
+    whose u halves serve :func:`special_witness`).  The name is kept,
+    though entries are no longer (f, u) pairs, because the benchmark hooks
+    it (``perfbench/spans.py``).  The symmetry cut has one sparse column
+    per special, its 2-cycle defect keyed by word and its 3-cycle defect
+    by (1, word)."""
     d = len(_lyndon_tuples((1, 1), n))
-    specials = [from_coordinates(XY, n, v[:d])
-                for v in _column_kernel(_special_pair_matrix(n), p)]
+    specials = [from_coordinates(XY, n, v[:d]) for v in _special_pairs(n, p)]
     cols = []
     for f in specials:
         col, cyc = _symmetry_rows(f, n)
@@ -498,18 +512,31 @@ def special_dim(n: int) -> int:
 def special_witness(f: LieElement) -> LieElement:
     """The unique u with [y, f] = [z, u], given f special of degree >= 2.
 
-    One solve against the factored ad(z) matrix of degree n, cached per
-    degree; the solve checks [z, u] = [y, f] exactly in every coordinate
-    of degree n + 1.  Raises :class:`SpecialConditionError` when f is not
-    special or not homogeneous of degree >= 2.
+    Read off the reduced echelon rows (f_j, u_j) of the special-pair
+    kernel of degree n, cached per degree (see :func:`_witness_rows`): f
+    is special exactly when f = sum c_j f_j, with c_j the coefficient of
+    f at the pivot of row j over that of f_j, and then u = sum c_j u_j.
+    The sums are taken in integers, scaled by the lcm of the pivot
+    entries and of the denominators of f.  Raises
+    :class:`SpecialConditionError` when f is not special or not
+    homogeneous of degree >= 2.
     """
     n = f.homogeneous_degree()
     if n is None or n < 2:
         raise SpecialConditionError("witness is defined in degree >= 2")
-    u = _ad_z(n).solve(bracket(Y, f).coordinates(n + 1))
-    if u is None:
+    coords = [Fraction(x) for x in f.coordinates(n)]
+    d = len(coords)
+    q = math.lcm(*(x.denominator for x in coords))
+    target = [int(x * q) for x in coords]
+    used = [(row, c) for row, c in zip(*_witness_rows(n)) if target[c]]
+    den = math.lcm(*(row[c] for row, c in used))
+    acc: dict = {}
+    for row, c in used:
+        _merge_scaled(acc, row, target[c] * (den // row[c]))
+    if any(acc.get(j, 0) != t * den for j, t in enumerate(target)):
         raise SpecialConditionError("[y, f] is not of the form [z, u]")
-    return from_coordinates(XY, n, u)
+    return from_coordinates(
+        XY, n, [Fraction(acc.get(d + j, 0), den * q) for j in range(d)])
 
 
 def is_stable(f: LieElement, check_five_cycle: bool = True) -> bool:
@@ -523,9 +550,9 @@ def is_stable(f: LieElement, check_five_cycle: bool = True) -> bool:
     degree-12 check takes 1.8-2.0 s at 34 MiB, and a warm one 0.02 ms.
     Pass
     ``check_five_cycle=False`` for the cheap necessary conditions only:
-    the special condition, one solve against the factored degree-n ad(z)
-    matrix, and the 2- and 3-cycle conditions, which merge cached
-    per-word images.
+    the special condition, read off the cached echelon rows of the
+    degree-n special-pair kernel by :func:`special_witness`, and the 2-
+    and 3-cycle conditions, which merge cached per-word images.
     """
     if f.alphabet != XY:
         raise AlphabetMismatchError("the stable space lies in the x,y algebra")

@@ -1,7 +1,7 @@
 """Exact sparse linear algebra over the rationals and GF(p).
 
-Every rank, kernel, echelon form, residual and solve, over the rationals
-or mod a prime, runs through one eliminator, :func:`_echelon`, on sparse
+Every rank, kernel, echelon form and residual, over the rationals or
+mod a prime, runs through one eliminator, :func:`_echelon`, on sparse
 rows ``{column: int}`` whose columns are any ordered keys: dense rows are
 keyed by index, and the stable stages in ``ihara`` key by Lyndon word.
 Over the rationals it is fraction-free: each update keeps rows integral
@@ -241,57 +241,6 @@ def reduced_echelon(rows) -> list[list[int]]:
     space, ordered by pivot column."""
     sparse, ncols = _rows_of(rows)
     return [_canonical(r, ncols) for r in _echelon(sparse, reduced=True)[0]]
-
-
-class FullRankSolver:
-    """Exact solutions of A x = b for one integer matrix A of full column
-    rank and many right-hand sides b.
-
-    The factorization is done once.  The pivot columns of the echelon
-    form of the transpose of A are ncols linearly independent rows of A,
-    the pivot rows.  The reduced echelon form of [B | I], with B the
-    square block of pivot rows, is [D | R] with R an integer matrix and D
-    diagonal, R B = D; R is kept as sparse rows.  A solve is then integer
-    dot products: x = D^-1 R b on the pivot rows, and an exact check of
-    A x = b on the other rows, which decides whether a solution exists.
-    """
-
-    def __init__(self, m):
-        rows = _dense_rows(m)
-        if any(type(x) is not int for row in rows for x in row):
-            raise ValueError("FullRankSolver needs integer entries")
-        ncols = len(rows[0]) if rows else 0
-        _, pivot_rows = _echelon(_rows_of(list(zip(*rows)))[0])
-        if len(pivot_rows) != ncols:
-            raise ValueError("matrix is not of full column rank")
-        red, _ = _echelon(
-            [{**{j: a for j, a in enumerate(rows[r]) if a}, ncols + i: 1}
-             for i, r in enumerate(pivot_rows)], reduced=True)
-        diag = [row[i] for i, row in enumerate(red)]
-        self._nrows = len(rows)
-        self._den = lcm(*diag)
-        # Row i gives den * x_i as a sparse dot product with b.
-        self._inverse = [
-            [(pivot_rows[j - ncols], t * (self._den // d))
-             for j, t in row.items() if j >= ncols]
-            for row, d in zip(red, diag)]
-        pivot_set = set(pivot_rows)
-        self._checks = [(r, [(j, a) for j, a in enumerate(row) if a])
-                        for r, row in enumerate(rows) if r not in pivot_set]
-
-    def solve(self, b) -> list[Fraction] | None:
-        """The unique x with A x = b, or None when there is none.  The
-        entries of ``b`` may be integers or fractions."""
-        if len(b) != self._nrows:
-            raise ValueError(f"expected {self._nrows} entries, got {len(b)}")
-        q = lcm(*(x.denominator for x in b if isinstance(x, Fraction)))
-        bq = [int(x * q) for x in b]
-        # x = num / (den * q), in integers throughout
-        num = [sum(t * bq[r] for r, t in row) for row in self._inverse]
-        for r, row in self._checks:
-            if sum(a * num[j] for j, a in row) != bq[r] * self._den:
-                return None
-        return [Fraction(v, self._den * q) for v in num]
 
 
 # ---------------------------------------------------------------------------

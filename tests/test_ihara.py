@@ -381,12 +381,32 @@ def test_special_witness_identity():
     with pytest.raises(SpecialConditionError):
         special_witness(bracket(X, Y))
     rng = random.Random(502)
-    for n in (8, 10):
+    # degrees 4 and 6 have no specials: their special-pair kernels are
+    # empty, so the witness has no rows to read and every f must fail
+    assert not ihara._special_pairs(4) and not ihara._special_pairs(6)
+    for n in (8, 10, 4, 6):
         for _ in range(4):
             f = random_homogeneous(XY, n, rng, max_terms=6)
             assert f and _witness_by_kernel(f) is None
             with pytest.raises(SpecialConditionError):
                 special_witness(f)
+
+
+def test_special_witness_cold_degree_13():
+    # <sigma5, b> with b in D_8 is special of degree 13 and needs only the
+    # stable spaces through degree 8; the witness and the cheap check then
+    # build the degree-13 special-pair kernel from cold caches, without D_13
+    f = ihara_bracket(soule_generator(5), special_basis(8)[0])
+    assert f.homogeneous_degree() == 13
+    ihara.clear_caches()
+    u = special_witness(f)
+    assert bracket(Y, f) == bracket(-X - Y, u)
+    assert all(type(c) is Fraction for c in u.terms.values())
+    assert is_stable(f, check_five_cycle=False)
+    # neither the hex space nor any stable space was built
+    assert ihara._hex_pairs.cache_info().currsize == 0
+    assert ihara._stable_pairs.cache_info().currsize == 0
+    assert special_witness(f).terms == u.terms
 
 
 def test_is_stable_rejects_on_five_cycle_alone():
@@ -798,12 +818,12 @@ def test_clear_caches_rebuilds_identical_bases():
     ihara.clear_caches()
     assert not any(ihara._EVAL_CACHE) and not ihara._ACT_ON_WORD
     assert not ihara._ACT_IM
-    # every lru_cache of the module, so that a new one is not missed: five
+    # every lru_cache of the module, so that a new one is not missed: six
     # per-degree caches, the per-operand derivations and verdicts of
     # ihara_bracket, and its brackets per pair of operands
     cached = [f for f in vars(ihara).values() if hasattr(f, "cache_info")
               and f.__module__ == ihara.__name__]
-    assert len(cached) == 8
+    assert len(cached) == 9
     assert all(f.cache_info().currsize == 0 for f in cached)
     assert ihara._operand_derivation.cache_info().currsize == 0
     assert {n: special_basis(n) for n in range(2, 10)} == before

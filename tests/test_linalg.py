@@ -21,8 +21,8 @@ from grtlab import (
 from grtlab import ihara
 from grtlab.derivations import XY
 from grtlab.lie import from_coordinates
-from grtlab.linalg import (FullRankSolver, _column_kernel, _echelon,
-                           _kernel_of_echelon, _rows_of, _sparse)
+from grtlab.linalg import (_column_kernel, _echelon, _kernel_of_echelon,
+                           _rows_of, _sparse)
 from grtlab.words import _lyndon_tuples
 
 from conftest import random_int_matrix
@@ -404,33 +404,6 @@ def test_five_cycle_echelon_matches_dense_reference():
             if dense:
                 assert (_kernel_of_echelon(red, pivots, len(hexes))
                         == _kernel_by_fractions(dense))
-
-
-def test_full_rank_solver_roundtrip():
-    rng = random.Random(307)
-    solved = 0
-    for _ in range(40):
-        nr = rng.randint(1, 7)
-        m = random_int_matrix(rng, nr, rng.randint(1, nr))
-        if rank(m) < len(m[0]):
-            with pytest.raises(ValueError):
-                FullRankSolver(m)
-            continue
-        solver = FullRankSolver(m)
-        x = [Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-             for _ in m[0]]
-        b = _mat_vec(m, x)
-        assert solver.solve(b) == x
-        solved += 1
-        # a right-hand side outside the column space has no solution
-        if nr > len(m[0]):
-            off = list(b)
-            off[rng.randrange(nr)] += 1
-            if not in_row_space([list(c) for c in zip(*m)], off):
-                assert solver.solve(off) is None
-    assert solved > 20
-    with pytest.raises(ValueError):
-        FullRankSolver([[Fraction(1, 2)]])
 
 
 def test_reduced_echelon_properties():
