@@ -40,8 +40,8 @@ from .derivations import X, XY, Y, Derivation
 from .errors import (AlphabetMismatchError, DegenerateLeadingTermError,
                      NotOneDimensionalError, PreconditionError,
                      SpecialConditionError)
-from .lie import (LieElement, _bracket_into, _merge_scaled, _split_by,
-                  _word_images, bracket, from_coordinates, lie_to_string)
+from .lie import (LieElement, _bracket_into, _merge_scaled, _word_images,
+                  bracket, from_coordinates, lie_to_string)
 from .linalg import (_check_prime, _column_kernel, _echelon, _positive,
                      _reduce, _sparse)
 from .motivic import image_model_dims
@@ -51,24 +51,29 @@ Z = LieElement(XY, {(0,): -1, (1,): -1})
 
 #: Default cap on the degree of stable-space computations offered by the
 #: command line.  On a 2-core VM (Python 3.11) a cold ``ihara freeness
-#: --max-degree N``, timed as a child process, takes 0.4 s for N = 10,
-#: 1.1 s for 11 and 2.4 s for 12, at a peak RSS of 38 MiB.
+#: --max-degree N``, timed as a child process, takes 0.4 s at a peak RSS
+#: of 20 MiB for N = 10 and 2.2-2.3 s at 42 MiB for N = 12.
 DEFAULT_MAX_DEGREE = 12
 #: Highest degree the command line accepts.  On the same VM N = 13 takes
-#: 8-11 s at 76 MiB and N = 14 takes 36 s at 191 MiB.  The degree-14
-#: step, with the lower degrees built, is 30 s: 19 s of hex build and
-#: 11 s of 5-cycle cut under the budget (1, 5).  Degree 15, through the
-#: library, takes 282 s from cold caches at 858 MiB, 124 s of it in the
-#: hex build and 118 s in the 5-cycle step under (1, 6).
+#: 7.4-7.9 s at 81 MiB and N = 14 takes 37 s at 208 MiB.  The degree-14
+#: step, with the lower degrees built, is 26-28 s: 16.5-18 s of hex build
+#: and 9.6-11.5 s of 5-cycle cut and lower bound under the budget (1, 5).
+#: Degree 15, through the library, took 282 s from cold caches at
+#: 858 MiB (BENCH_two-grade-cut.json), 124 s of it in the hex build and
+#: 118 s in the 5-cycle step under (1, 6).
 HARD_MAX_DEGREE = 14
 
 
 # ---------------------------------------------------------------------
 # 5-cycle evaluation in the semidirect model of the sphere braid algebra.
 #
-# Elements of the model are pairs (fiber, base) of raw coefficient dicts
-# {word tuple: int}, fiber over the letters a1, a2, a3 (indices 0, 1, 2)
-# and base over x, y.
+# Elements of the model are pairs (fiber, base).  The base is a raw
+# coefficient dict {word tuple: int} over x, y.  The fiber, over the
+# letters a1, a2, a3 (indices 0, 1, 2), is kept split by grade, as
+# {(i, j): {word tuple: int}} with group (i, j) holding the words of
+# a1-degree i and a2-degree j.  The bracket of two words lies in the sum
+# of their grades, so a fiber bracket takes each pair of groups into a
+# single group, and its operands need no splitting.
 #
 # Every function here takes a fiber budget ``cap``: None keeps the whole
 # fiber, and a grade pair (c1, c2) keeps the fiber words of a1-degree
@@ -80,17 +85,38 @@ HARD_MAX_DEGREE = 14
 # not kept.
 # ---------------------------------------------------------------------
 
-_A1 = {(0,): 1}
-_A2 = {(1,): 1}
-_A3 = {(2,): 1}
+def _grade(w) -> tuple[int, int]:
+    return w.count(0), w.count(1)
+
+
+def _fiber_bracket(acc: dict, g1: Mapping, g2: Mapping, cap) -> dict:
+    """acc += [g1, g2] on grade-split fiber dicts; returns acc.  Each pair
+    of groups is bracketed into the group of the summed grade, or skipped
+    when that grade is over the budget."""
+    c1, c2 = cap or (math.inf, math.inf)
+    if c2 is None:
+        c2 = math.inf
+    for (i1, j1), s1 in g1.items():
+        for (i2, j2), s2 in g2.items():
+            i, j = i1 + i2, j1 + j2
+            if i <= c1 and j <= c2:
+                _bracket_into(acc.setdefault((i, j), {}), s1, s2)
+    return acc
+
+
+_A1 = {(1, 0): {(0,): 1}}
+_A2 = {(0, 1): {(1,): 1}}
+_A3 = {(0, 0): {(2,): 1}}
 
 # Images of the fiber letters under the action of the base letters: x
 # moves the chord a1 a2 pair, y the a2 a3 pair, matching the relations
 # among chords of five points on a sphere.  Their a1-degree and a2-degree
 # are at most 1, so they lie inside every budget.
 _LETTER_IM = {
-    (0,): (_bracket_into({}, _A1, _A2), _bracket_into({}, _A2, _A1), {}),
-    (1,): ({}, _bracket_into({}, _A2, _A3), _bracket_into({}, _A3, _A2)),
+    (0,): (_fiber_bracket({}, _A1, _A2, None),
+           _fiber_bracket({}, _A2, _A1, None), {}),
+    (1,): ({}, _fiber_bracket({}, _A2, _A3, None),
+           _fiber_bracket({}, _A3, _A2, None)),
 }
 
 _ACT_IM: dict = {}
@@ -100,7 +126,8 @@ _ACT_ON_WORD: dict = {}
 def _budgets(n: int) -> tuple:
     """The fiber budgets tried in degree n, in order, each only where the
     one before misses the lower bound (see :func:`_stable_pairs`): a1 <= 1
-    with a2 <= max(4, n - 9), then a1 <= 1 alone, then the full fiber.
+    with a2 <= min(max(2, n - 7), max(4, n - 9)), then a1 <= 1 alone,
+    then the full fiber.
 
     Why a budget (c1, c2) is exact: the base action never lowers
     a1-degree or a2-degree, since x sends a1 to [a1, a2] and a2 to
@@ -115,29 +142,27 @@ def _budgets(n: int) -> tuple:
 
     With a1 <= 1 alone the quotient keeps witt(2, n) + 2^(n-1) fiber words
     in degree n instead of witt(3, n); the cap k on a2 cuts the 2^(n-1)
-    a1-linear ones to the sum over j <= k of C(n - 1, j).  The schedule
-    for k met the bound in every degree measured, 2 to 15; the smallest
-    caps that meet it are 4 in degree 11, 3 in 12, 4 in 13 and 5 in 14."""
-    return (1, max(4, n - 9)), (1, None), None
+    a1-linear ones to the sum over j <= k of C(n - 1, j).  The first cap
+    of the schedule met the bound in every degree measured, 2 to 15.  The
+    smallest caps that meet it, with the cut one cap lower (dim against
+    the bound):
 
+    ======  ==========  ==================================
+    degree  least cap   one cap lower
+    ======  ==========  ==================================
+    2-9     2           2 against 1 in degree 7 (cap 1),
+                        4 against 1 in degree 9
+    10      3           2 against 1
+    11      4           5 against 2
+    12      3           7 against 2
+    13      4           16 against 3
+    14      5           12 against 3
+    ======  ==========  ==================================
 
-def _grade(w) -> tuple[int, int]:
-    return w.count(0), w.count(1)
-
-
-def _fiber_bracket(acc: dict, t1: Mapping, t2: Mapping, cap) -> dict:
-    """acc += [t1, t2] on fiber dicts; under a budget (c1, c2), pairs of
-    words whose a1-degrees add up to more than c1, or whose a2-degrees add
-    up to more than c2, are skipped."""
-    if cap is None:
-        return _bracket_into(acc, t1, t2)
-    c1, c2 = cap
-    g2 = _split_by(t2, _grade)
-    for (i1, j1), s1 in _split_by(t1, _grade).items():
-        for (i2, j2), s2 in g2.items():
-            if i1 + i2 <= c1 and (c2 is None or j1 + j2 <= c2):
-                _bracket_into(acc, s1, s2)
-    return acc
+    In degrees 2-6 and 8 the hex space is D_n already, and any cap meets
+    the bound.  The schedule takes the least cap in every degree but 12,
+    where it keeps 4 so that degrees 11 to 13 share one set of caches."""
+    return (1, min(max(2, n - 7), max(4, n - 9))), (1, None), None
 
 
 def _act_im(w, cap):
@@ -166,8 +191,9 @@ def _act_on_word(w, v, cap) -> dict:
         else:
             u2, v2 = _std_factorization(v)
             r = _fiber_bracket(
-                _fiber_bracket({}, _act_on_word(w, u2, cap), {v2: 1}, cap),
-                {u2: 1}, _act_on_word(w, v2, cap), cap)
+                _fiber_bracket({}, _act_on_word(w, u2, cap),
+                               {_grade(v2): {v2: 1}}, cap),
+                {_grade(u2): {u2: 1}}, _act_on_word(w, v2, cap), cap)
         _ACT_ON_WORD[key] = r
     return r
 
@@ -175,8 +201,18 @@ def _act_on_word(w, v, cap) -> dict:
 def _act_into(acc: dict, base: Mapping, fiber: Mapping, scale, cap) -> dict:
     """acc += scale * (action of base on fiber); returns acc."""
     for w, cw in base.items():
-        for v, cv in fiber.items():
-            _merge_scaled(acc, _act_on_word(w, v, cap), scale * cw * cv)
+        for group in fiber.values():
+            for v, cv in group.items():
+                s = scale * cw * cv
+                for g, terms in _act_on_word(w, v, cap).items():
+                    out = acc.setdefault(g, {})
+                    get = out.get
+                    for key, c in terms.items():
+                        new = get(key, 0) + s * c
+                        if new:
+                            out[key] = new
+                        else:
+                            del out[key]
     return acc
 
 
@@ -193,9 +229,9 @@ def _sd_fiber(e1, e2, cap) -> dict:
 _CHORDS = [
     ({}, {(0,): 1}),
     ({}, {(1,): 1}),
-    ({(0,): 1, (1,): 1}, {(0,): 1}),
-    ({(0,): -1, (1,): -1, (2,): -1}, {}),
-    ({(0,): 1}, {}),
+    ({(1, 0): {(0,): 1}, (0, 1): {(1,): 1}}, {(0,): 1}),
+    ({(1, 0): {(0,): -1}, (0, 1): {(1,): -1}, (0, 0): {(2,): -1}}, {}),
+    ({(1, 0): {(0,): 1}}, {}),
 ]
 _PAIR_ARGS = [(_CHORDS[i], _CHORDS[(i + 1) % 5]) for i in range(5)]
 _EVAL_CACHE: list[dict] = [{} for _ in range(5)]
@@ -240,15 +276,19 @@ def _pentagon_rows(n: int, elements: Sequence[Mapping], cap) -> list[dict]:
                 for v, terms in by_v.items():
                     fv, bv = _eval_word(p, v, cap)
                     for j, c in terms:
-                        _merge_scaled(right[j][0], fv, c)
-                        _merge_scaled(right[j][1], bv, c)
+                        fiber, base = right[j]
+                        for g, group in fv.items():
+                            _merge_scaled(fiber.setdefault(g, {}), group, c)
+                        _merge_scaled(base, bv, c)
                 for j, r in right.items():
-                    _merge_scaled(out[j], _sd_fiber(eu, r, cap), 1)
+                    for group in _sd_fiber(eu, r, cap).values():
+                        _merge_scaled(out[j], group, 1)
             else:
                 for v, terms in by_v.items():
                     fib = _sd_fiber(eu, _eval_word(p, v, cap), cap)
                     for j, c in terms:
-                        _merge_scaled(out[j], fib, c)
+                        for group in fib.values():
+                            _merge_scaled(out[j], group, c)
     return out
 
 
@@ -487,8 +527,8 @@ def five_cycle_budget(n: int) -> tuple | None:
     """The fiber budget that decided the 5-cycle cut in degree n >= 2:
     (1, k) for the quotient by the fiber words of a1-degree > 1 or
     a2-degree > k, (1, None) for the a1-degree quotient alone, None for
-    the full fiber.  The schedule tries (1, max(4, n - 9)) first, which
-    decided every degree measured, 2 to 15."""
+    the full fiber.  The schedule tries (1, k) first, with k from
+    :func:`_budgets`, which decided every degree measured, 2 to 15."""
     if n < 2:
         raise PreconditionError("degree must be >= 2")
     return _stable_pairs(n)[3]

@@ -49,10 +49,9 @@ from conftest import random_homogeneous
 # test_freeness_table; degrees 11 and 12 live in the slow tests
 STABLE_DIMS = {2: 0, 3: 1, 4: 0, 5: 1, 6: 0, 7: 1, 8: 1, 9: 1, 10: 1}
 PRIMES = [23, 101, 997]
-# the fiber budget of the a1-degree <= 1 quotient alone, and the first
-# budget the schedule tries through degree 13
+# the fiber budget of the a1-degree <= 1 quotient alone; the first budget
+# the schedule tries in degree n is ihara._budgets(n)[0]
 A1_ONLY = (1, None)
-SCHEDULED = (1, 4)
 
 
 def test_stable_dims_through_10():
@@ -74,7 +73,7 @@ def test_stable_dims_11_12():
 def test_stable_dim_13():
     assert special_dim(13) == 3
     assert five_cycle_route(13) == "bounds"
-    assert five_cycle_budget(13) == SCHEDULED
+    assert five_cycle_budget(13) == ihara._budgets(13)[0]
 
 
 def _cold_bases(degrees):
@@ -122,6 +121,52 @@ def test_short_bound_falls_back_to_full_route(monkeypatch):
     assert got == {**want, 9: got[9]}
 
 
+def test_first_budget_is_the_least_cap_that_meets_the_bound():
+    # The first cap k of the schedule cuts D_n exactly; one cap lower the
+    # cut is larger wherever the hex space is: in degrees 7, 9 and 10,
+    # while in degree 8 the hex space is D_8 itself.
+    larger = set()
+    for n in range(7, 11):
+        c1, k = ihara._budgets(n)[0]
+        hexes = _hex_pairs(n)
+        assert ihara._cut(n, hexes, (c1, k))[0] == tuple(special_basis(n))
+        if len(ihara._cut(n, hexes, (c1, k - 1))[0]) > special_dim(n):
+            larger.add(n)
+    assert larger == {7, 9, 10}
+
+
+def _cached_fibers():
+    """(budget, grade-split fiber) for every fiber value the 5-cycle
+    caches hold."""
+    for (cap, _), images in ihara._ACT_IM.items():
+        for fiber in images:
+            yield cap, fiber
+    for (cap, _, _), fiber in ihara._ACT_ON_WORD.items():
+        yield cap, fiber
+    for cache in ihara._EVAL_CACHE:
+        for (cap, _), (fiber, _) in cache.items():
+            yield cap, fiber
+
+
+def test_graded_caches_are_consistent():
+    ihara.clear_caches()
+    try:
+        for n in range(2, 10):
+            special_basis(n)
+        _pentagon_rows(7, [f.terms for f in _hex_pairs(7)], None)
+        caps = set()
+        for cap, fiber in _cached_fibers():
+            caps.add(cap)
+            for (i, j), terms in fiber.items():
+                assert all((w.count(0), w.count(1)) == (i, j)
+                           for w in terms)
+                if cap is not None:
+                    assert i <= cap[0] and (cap[1] is None or j <= cap[1])
+    finally:
+        ihara.clear_caches()
+    assert caps == {None, ihara._budgets(9)[0]}
+
+
 def test_missed_budget_falls_back_to_a1_quotient(monkeypatch):
     # With a2 <= 2 the quotient cut misses the bound in degree 10 (dim 2
     # against 1), and the a1-degree quotient alone decides it.
@@ -146,6 +191,7 @@ def test_scheduled_cut_matches_a1_cut_11_13(monkeypatch):
     # a second route at the height of the first: the cut in the a1-degree
     # quotient alone, which the schedule tries only after a miss
     degrees = range(2, 14)
+    first = {n: ihara._budgets(n)[0] for n in degrees}
     try:
         scheduled = {n: (special_basis(n), five_cycle_budget(n))
                      for n in degrees}
@@ -155,7 +201,7 @@ def test_scheduled_cut_matches_a1_cut_11_13(monkeypatch):
                    for n in degrees}
     finally:
         ihara.clear_caches()
-    assert {b for _, b in scheduled.values()} == {SCHEDULED}
+    assert {n: b for n, (_, b) in scheduled.items()} == first
     assert {b for _, b in a1_only.values()} == {A1_ONLY}
     assert ({n: b for n, (b, _) in scheduled.items()}
             == {n: b for n, (b, _) in a1_only.items()})
@@ -193,7 +239,7 @@ def test_modular_dims_match_rational():
             assert (list(rows), list(pivots)) == _echelon(
                 terms, p, reduced=True)
             assert all(0 <= c < p for row in rows for c in row.values())
-            assert budget == SCHEDULED
+            assert budget == ihara._budgets(n)[0]
 
 
 @pytest.mark.slow
@@ -213,6 +259,15 @@ def test_modular_dim_13():
     p = 2 ** 31 - 1
     assert special_dim_mod(13, p) == special_dim(13) == 3
     assert ihara._stable_pairs(13, p)[3] == five_cycle_budget(13)
+
+
+def test_modular_miss_falls_back_to_a1_quotient():
+    # Over GF(2) the first budget misses the bound in degree 9 (dim 3
+    # against 1), and the a1-degree quotient alone decides it.
+    assert ihara._budgets(9)[0] == (1, 2)
+    assert len(ihara._cut(9, _hex_pairs(9, 2), (1, 2), 2)[0]) == 3
+    assert special_dim_mod(9, 2) == 1
+    assert ihara._stable_pairs(9, 2)[3] == A1_ONLY
 
 
 def test_modular_short_bound_falls_back_to_full_route(monkeypatch):
@@ -251,7 +306,8 @@ def _pentagon_by_word(elements, cap):
     for w in {w for f in elements for w in f}:
         row = {}
         for p in range(5):
-            _merge_scaled(row, _eval_word(p, w, cap)[0], 1)
+            for terms in _eval_word(p, w, cap)[0].values():
+                _merge_scaled(row, terms, 1)
         rows[w] = row
     cols = []
     for f in elements:
@@ -263,15 +319,15 @@ def _pentagon_by_word(elements, cap):
 
 
 def test_pentagon_rows_match_per_word_route():
-    for cap in (None, A1_ONLY, SCHEDULED):
-        for n in range(3, 11):
-            hexes = [f.terms for f in _hex_pairs(n)]
+    for n in range(2, 11):
+        hexes = [f.terms for f in _hex_pairs(n)]
+        words = [{w: 1} for w in _lyndon_tuples((1, 1), n)]
+        for cap in (None, A1_ONLY, (1, 4), ihara._budgets(n)[0]):
             assert (_pentagon_rows(n, hexes, cap)
                     == _pentagon_by_word(hexes, cap))
-        for n in range(2, 9):
-            words = [{w: 1} for w in _lyndon_tuples((1, 1), n)]
-            assert (_pentagon_rows(n, words, cap)
-                    == _pentagon_by_word(words, cap))
+            if n <= 8:
+                assert (_pentagon_rows(n, words, cap)
+                        == _pentagon_by_word(words, cap))
 
 
 def test_quotient_evaluation_is_the_pruned_full_one():
@@ -807,10 +863,13 @@ def test_freeness_table_through_12():
 
 
 def test_clear_caches_rebuilds_identical_bases():
+    # start cold: earlier tests leave the caches of other budgets behind
+    ihara.clear_caches()
     before = {n: special_basis(n) for n in range(2, 10)}
+    first = {ihara._budgets(n)[0] for n in range(2, 10)}
     # fill the full-fiber caches too, next to the quotient ones
     _pentagon_rows(8, [f.terms for f in _hex_pairs(8)], None)
-    assert {k[0] for k in ihara._ACT_ON_WORD} == {None, SCHEDULED}
+    assert {k[0] for k in ihara._ACT_ON_WORD} == {None, *first}
     ihara_bracket(before[3][0], before[5][0])
     assert ihara._operand_derivation.cache_info().currsize
     assert ihara._operand_is_stable.cache_info().currsize
@@ -830,6 +889,6 @@ def test_clear_caches_rebuilds_identical_bases():
     # the bounds decided every degree, so only the quotient was evaluated,
     # and only on the factors of degree-9 words, not on the words
     keys = [k for c in (*ihara._EVAL_CACHE, ihara._ACT_IM) for k in c]
-    assert {cap for cap, _ in keys} == {SCHEDULED}
-    assert {k[0] for k in ihara._ACT_ON_WORD} == {SCHEDULED}
+    assert {cap for cap, _ in keys} == first
+    assert {k[0] for k in ihara._ACT_ON_WORD} == first
     assert max(len(w) for c in ihara._EVAL_CACHE for _, w in c) == 8

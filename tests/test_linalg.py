@@ -29,9 +29,9 @@ from conftest import random_int_matrix
 
 PRIMES = [23, 101, 997]
 # 5-cycle fiber budgets: the a1-degree <= 1 quotient alone, and the one
-# the schedule tries first through degree 13
+# the schedule tries first in degrees 11 to 13
 A1_ONLY = (1, None)
-SCHEDULED = (1, 4)
+A2_LE_4 = (1, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +335,8 @@ def _differential_inputs():
         yield [[0] * k]
     for n in range(2, 11):
         yield _special_pair_dense(n)
-        for cap in ((A1_ONLY, SCHEDULED, None) if n <= 8
-                    else (A1_ONLY, SCHEDULED)):
+        for cap in ((A1_ONLY, A2_LE_4, None) if n <= 8
+                    else (A1_ONLY, A2_LE_4)):
             m = _cut_matrix(n, cap)
             if m:
                 yield m
@@ -397,7 +397,7 @@ def _check_column_kernel(m, cols):
 def test_five_cycle_echelon_matches_dense_reference():
     for n in range(2, 11):
         hexes = ihara._hex_pairs(n)
-        for cap in (A1_ONLY, SCHEDULED):
+        for cap in (A1_ONLY, A2_LE_4):
             dense = _cut_matrix(n, cap)
             red, pivots = _cut_echelon(n, cap)
             assert pivots == _echelon_int(dense)[1]
