@@ -51,16 +51,14 @@ Z = LieElement(XY, {(0,): -1, (1,): -1})
 
 #: Default cap on the degree of stable-space computations offered by the
 #: command line.  On a 2-core VM (Python 3.11) a cold ``ihara freeness
-#: --max-degree N``, timed as a child process, takes 0.4 s at a peak RSS
-#: of 20 MiB for N = 10 and 2.2-2.3 s at 42 MiB for N = 12.
+#: --max-degree N``, timed as a child process, takes 0.2-0.35 s at a peak
+#: RSS of 20 MiB for N = 10 and 1.2-1.5 s at 36 MiB for N = 12.
 DEFAULT_MAX_DEGREE = 12
 #: Highest degree the command line accepts.  On the same VM N = 13 takes
-#: 7.4-7.9 s at 81 MiB and N = 14 takes 37 s at 208 MiB.  The degree-14
-#: step, with the lower degrees built, is 26-28 s: 16.5-18 s of hex build
-#: and 9.6-11.5 s of 5-cycle cut and lower bound under the budget (1, 5).
-#: Degree 15, through the library, took 282 s from cold caches at
-#: 858 MiB (BENCH_two-grade-cut.json), 124 s of it in the hex build and
-#: 118 s in the 5-cycle step under (1, 6).
+#: 3.2-4.6 s at 58 MiB and N = 14 takes 18-21 s at 189 MiB, whose degree-14
+#: step is 3-4.4 s of hex build and 6-9 s of 5-cycle cut and lower bound.
+#: At degree 15 the hex build takes 25-35 s; the 5-cycle step took 118 s
+#: (BENCH_half-width-hex.json, BENCH_two-grade-cut.json).
 HARD_MAX_DEGREE = 14
 
 
@@ -310,11 +308,11 @@ def _cut(n: int, hexes, cap, p=None) -> tuple:
 # ---------------------------------------------------------------------
 # The stable space itself.
 #
-# Everything that depends on the degree n alone is cached per degree, so
-# that queries reuse it: is_stable reduces against the echelon rows of
-# D_n, and special_witness and the operand check of the verified bracket
-# read the special-pair kernel, as reduced echelon rows, and the 2-cycle
-# and 3-cycle images of each Lyndon word.  The hex basis is cached too.
+# Everything that depends on the degree n (and the prime) alone is cached
+# once, so that queries reuse it: is_stable reduces against the echelon
+# rows of D_n, and special_witness and the operand check of the verified
+# bracket read the special-pair kernel, as reduced echelon rows, and the
+# tau and sigma images of each Lyndon word.  The hex basis is cached too.
 # ---------------------------------------------------------------------
 
 def clear_caches() -> None:
@@ -324,32 +322,58 @@ def clear_caches() -> None:
     :func:`ihara_bracket` keeps: the derivations and verdicts per operand
     and the brackets per pair of operands.  Later calls rebuild them,
     with identical results."""
-    for cached in (_special_pair_matrix, _special_pairs, _witness_rows,
-                   _symmetry_images, _hex_pairs, _stable_pairs,
-                   _operand_derivation, _operand_is_stable,
-                   _primitive_bracket):
+    for cached in (_special_pairs, _witness_rows, _symmetry_images,
+                   _hex_pairs, _stable_pairs, _operand_derivation,
+                   _operand_is_stable, _primitive_bracket):
         cached.cache_clear()
     for cache in (*_EVAL_CACHE, _ACT_ON_WORD, _ACT_IM):
         cache.clear()
 
 
-@functools.lru_cache(maxsize=None)
+def _per_degree(stage):
+    """lru_cache for a stage(n, p=None), keyed (n, p) however p is passed,
+    so that stage(n) and stage(n, None) share one entry."""
+    cached = functools.lru_cache(maxsize=None)(stage)
+    keyed = functools.wraps(stage)(lambda n, p=None: cached(n, p))
+    keyed.cache_info, keyed.cache_clear = cached.cache_info, cached.cache_clear
+    return keyed
+
+
 def _special_pair_matrix(n: int) -> list[dict]:
-    """The sparse columns, raw dicts over degree-(n + 1) words, of the
-    integer matrix whose kernel is {(f, u) : [y, f] = [z, u]} in the
-    coordinates (f over the degree-n Lyndon basis, then u likewise):
-    [y, w] for each degree-n word w, then -[z, w] = [w, z]."""
-    words = _lyndon_tuples((1, 1), n)
-    return ([_bracket_into({}, Y.terms, {w: 1}) for w in words]
-            + [_bracket_into({}, {w: 1}, Z.terms) for w in words])
+    """The sparse columns [y, w], raw dicts over degree-(n + 1) words, one
+    per degree-n Lyndon word w: with z = -x - y, [y, f] = [z, u] is
+    [y, g] = -[x, u] for g = f + u, and [x, w] is the basis word x w (see
+    :func:`_special_pairs`, its one reader, which is cached)."""
+    return [_bracket_into({}, Y.terms, {w: 1})
+            for w in _lyndon_tuples((1, 1), n)]
 
 
-@functools.lru_cache(maxsize=None)
+@_per_degree
 def _special_pairs(n: int, p: int | None = None) -> tuple:
-    """The kernel of :func:`_special_pair_matrix`, over GF(p) when ``p``
-    is given: dense vectors (f, u), f then u over the degree-n Lyndon
-    basis, with [y, f] = [z, u]."""
-    return tuple(_column_kernel(_special_pair_matrix(n), p))
+    """A basis of the pairs (f, u) with [y, f] = [z, u] in degree n >= 2,
+    over GF(p) when ``p`` is given: dense vectors, f then u over the
+    degree-n Lyndon basis.  g = f + u is admissible exactly when [y, g]
+    has no term off the words x w, so g runs over the kernel of the
+    columns of :func:`_special_pair_matrix` restricted to those other
+    words; then u_w = -[y, g]_{x w} and f = g - u.  g -> f is a bijection,
+    because ad z is injective in degree >= 2.  Over GF(p) the terms off
+    the words x w vanish mod p, and the pairs are residues."""
+    words = _lyndon_tuples((1, 1), n)
+    xw = {(0, *w) for w in words}
+    cols = _special_pair_matrix(n)
+    pairs = []
+    for g in _column_kernel([{v: c for v, c in col.items() if v not in xw}
+                             for col in cols], p):
+        yg: dict = {}
+        for gj, col in zip(g, cols):
+            if gj:
+                _merge_scaled(yg, col, gj)
+        u = [-yg.pop((0, *w), 0) for w in words]
+        if any(c % p if p else c for c in yg.values()):
+            raise AssertionError(f"degree {n}: [y, g] is off the words x w")
+        pair = [a - b for a, b in zip(g, u)] + u
+        pairs.append(pair if p is None else [a % p for a in pair])
+    return tuple(pairs)
 
 
 @functools.lru_cache(maxsize=None)
@@ -368,54 +392,53 @@ def _witness_rows(n: int) -> tuple:
 
 
 @functools.lru_cache(maxsize=None)
-def _symmetry_images(n: int) -> dict:
-    """For each degree-n Lyndon word w, its 2-cycle defect w + w(y, x)
-    and its 3-cycle defect w + w(y, z) + w(z, x), as raw dicts."""
-    yx, yz, zx = (_word_images(imgs) for imgs in ((Y, X), (Y, Z), (Z, X)))
-    out = {}
-    for w in _lyndon_tuples((1, 1), n):
-        tau = {w: 1}
-        _merge_scaled(tau, yx(w).terms, 1)
-        cyc = {w: 1}
-        _merge_scaled(cyc, yz(w).terms, 1)
-        _merge_scaled(cyc, zx(w).terms, 1)
-        out[w] = (tau, cyc)
-    return out
+def _symmetry_images(n: int) -> tuple:
+    """The index of each degree-n word in basis order, and per word w the
+    images tau(w) = w(y, x) and sigma(w) = w(y, z) as dicts over word
+    indices, which hash faster than words: tau swaps x and y, sigma maps
+    x -> y -> z -> x.  sigma^2 = tau sigma tau, so where tau f = -f the
+    3-cycle defect f + sigma f + sigma^2 f is f + sigma f - tau(sigma f),
+    and z -> x is never substituted (see :func:`_symmetry_rows`)."""
+    words = _lyndon_tuples((1, 1), n)
+    at = {w: i for i, w in enumerate(words)}
+    subs = _word_images((Y, X)), _word_images((Y, Z))
+    return at, [tuple({at[v]: c for v, c in im(w).terms.items()}
+                      for im in subs) for w in words]
 
 
-def _symmetry_rows(f: LieElement, n: int, parts=(0, 1)) -> tuple[dict, ...]:
-    """The 2-cycle (part 0) and 3-cycle (part 1) defects of f, which is
-    homogeneous of degree n, as raw dicts over degree-n words; only the
-    ``parts`` named are built."""
-    images = _symmetry_images(n)
-    rows = tuple({} for _ in parts)
-    for w, c in f.terms.items():
-        im = images[w]
-        for row, i in zip(rows, parts):
-            _merge_scaled(row, im[i], c)
-    return rows
+def _symmetry_rows(f: LieElement, n: int, part: int) -> dict:
+    """The 2-cycle defect f + tau f (part 0) or the 3-cycle defect
+    f + sigma f - tau(sigma f) (part 1) of f, homogeneous of degree n, as
+    a raw dict over word indices.  Part 1 is f + f(y, z) + f(z, x) where
+    part 0 vanishes (:func:`_symmetry_images`), and means nothing else."""
+    at, images = _symmetry_images(n)
+    own = {at[w]: c for w, c in f.terms.items()}
+    row: dict = {}
+    for i, c in own.items():
+        _merge_scaled(row, images[i][part], c)
+    if part:
+        for i, c in list(row.items()):
+            _merge_scaled(row, images[i][0], -c)
+    _merge_scaled(row, own, 1)
+    return row
 
 
-@functools.lru_cache(maxsize=None)
+@_per_degree
 def _hex_pairs(n: int, p: int | None = None) -> tuple:
     """Basis of the hex space, over GF(p) when ``p`` is given: the f
-    satisfying special, 2-cycle and 3-cycle, before the 5-cycle cut, from
-    the f halves of the cached special-pair kernel (:func:`_special_pairs`,
-    whose u halves serve :func:`special_witness`).  The name is kept,
-    though entries are no longer (f, u) pairs, because the benchmark hooks
-    it (``perfbench/spans.py``).  The symmetry cut has one sparse column
-    per special, its 2-cycle defect keyed by word and its 3-cycle defect
-    by (1, word)."""
+    satisfying special, 2-cycle and 3-cycle, before the 5-cycle cut.  The
+    name is kept, though entries are no longer (f, u) pairs, because the
+    benchmark hooks it (``perfbench/spans.py``).  The f halves of
+    :func:`_special_pairs` are cut by the sparse 2-cycle first; on that
+    kernel tau f = -f, so the 3-cycle defect is f + sigma f - tau(sigma f)
+    (see :func:`_symmetry_images`), one dense substitution per word."""
     d = len(_lyndon_tuples((1, 1), n))
-    specials = [from_coordinates(XY, n, v[:d]) for v in _special_pairs(n, p)]
-    cols = []
-    for f in specials:
-        col, cyc = _symmetry_rows(f, n)
-        for w, c in cyc.items():
-            col[1, w] = c
-        cols.append(col)
-    return tuple(LieElement(XY, f)
-                 for f in _combine(_column_kernel(cols, p), specials, p))
+    elements = [from_coordinates(XY, n, v[:d]) for v in _special_pairs(n, p)]
+    for part in (0, 1):
+        cols = [_symmetry_rows(f, n, part) for f in elements]
+        elements = [LieElement(XY, f) for f in
+                    _combine(_column_kernel(cols, p), elements, p)]
+    return tuple(elements)
 
 
 def _combine(combos, elements, p=None) -> list[dict]:
@@ -425,12 +448,13 @@ def _combine(combos, elements, p=None) -> list[dict]:
     for t in combos:
         f: dict = {}
         for tj, fj in zip(t, elements):
-            _merge_scaled(f, fj.terms, tj)
+            if tj:
+                _merge_scaled(f, fj.terms, tj)
         out.append(_sparse(f, p))
     return out
 
 
-@functools.lru_cache(maxsize=None)
+@_per_degree
 def _stable_pairs(n: int, p: int | None = None) -> tuple:
     """D_n as (basis, rows, pivots, budget): its canonical basis, the same
     basis as reduced echelon rows keyed by Lyndon word with their pivot
@@ -465,7 +489,7 @@ def _stable_pairs(n: int, p: int | None = None) -> tuple:
     hexes = _hex_pairs(n, p)
     # The evaluator skips the base part, f + f(y, x); it must vanish here.
     # Only the 2-cycle defect is built: the 3-cycle images are dense.
-    if any(_sparse(_symmetry_rows(f, n, (0,))[0], p) for f in hexes):
+    if any(_sparse(_symmetry_rows(f, n, 0), p) for f in hexes):
         raise AssertionError(
             "5-cycle base component failed to cancel on a 2-cycle "
             "symmetric element")
@@ -586,13 +610,12 @@ def is_stable(f: LieElement, check_five_cycle: bool = True) -> bool:
     check is a membership test: the terms of f are reduced against the
     cached word-keyed echelon rows of the canonical basis of D_n, and f
     lies in D_n exactly when nothing is left.  The first check in a
-    degree builds that basis, whatever f is: on a 2-core VM a cold
-    degree-12 check takes 1.8-2.0 s at 34 MiB, and a warm one 0.02 ms.
-    Pass
+    degree builds that basis, whatever f is.  Pass
     ``check_five_cycle=False`` for the cheap necessary conditions only:
     the special condition, read off the cached echelon rows of the
-    degree-n special-pair kernel by :func:`special_witness`, and the 2-
-    and 3-cycle conditions, which merge cached per-word images.
+    degree-n special-pair kernel by :func:`special_witness`, the 2-cycle,
+    and, where it holds, the 3-cycle as f + sigma f - tau(sigma f) (see
+    :func:`_symmetry_images`), each merging cached per-word images.
     """
     if f.alphabet != XY:
         raise AlphabetMismatchError("the stable space lies in the x,y algebra")
@@ -608,7 +631,7 @@ def is_stable(f: LieElement, check_five_cycle: bool = True) -> bool:
         special_witness(f)
     except SpecialConditionError:
         return False
-    return not any(_symmetry_rows(f, n))
+    return not any(_symmetry_rows(f, n, part) for part in (0, 1))
 
 
 def special_dim_mod(n: int, p: int) -> int:

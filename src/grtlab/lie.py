@@ -291,27 +291,33 @@ def _word_images(imgs: tuple[LieElement, ...], max_degree: int | None = None
     """The map w -> sigma(w) evaluated at letter i -> imgs[i], memoized
     along standard factorizations for as long as the caller keeps it.
     Under ``max_degree`` each image is kept with its terms split by
-    degree, so a truncated bracket of two images splits neither again."""
+    degree, so a truncated bracket of two images splits neither again.
+    The memo is in no reference cycle, so it is freed with the map rather
+    than at the next garbage collection."""
     cache: dict[Word, tuple[LieElement, dict | None]] = {}
+    return lambda w: _word_image(w, imgs, max_degree, cache)[0]
 
-    def image(w: Word) -> tuple[LieElement, dict | None]:
-        got = cache.get(w)
-        if got is None:
-            if len(w) == 1:
-                img = imgs[w[0]]
-                if max_degree is not None:
-                    img = img.truncate(max_degree)
-            else:
-                u, v = _std_factorization(w)
-                (iu, su), (iv, sv) = image(u), image(v)
-                img = (bracket(iu, iv) if max_degree is None else
-                       LieElement(iu.alphabet,
-                                  _bracket_graded({}, su, sv, max_degree)))
-            got = cache[w] = (img, None if max_degree is None
-                              else _by_degree(img))
-        return got
 
-    return lambda w: image(w)[0]
+def _word_image(w: Word, imgs, max_degree, cache: dict
+                ) -> tuple[LieElement, dict | None]:
+    """The image of w for :func:`_word_images`, kept in ``cache`` with
+    its terms split by degree under ``max_degree``."""
+    got = cache.get(w)
+    if got is None:
+        if len(w) == 1:
+            img = imgs[w[0]]
+            if max_degree is not None:
+                img = img.truncate(max_degree)
+        else:
+            u, v = _std_factorization(w)
+            (iu, su), (iv, sv) = (_word_image(x, imgs, max_degree, cache)
+                                  for x in (u, v))
+            img = (bracket(iu, iv) if max_degree is None else
+                   LieElement(iu.alphabet,
+                              _bracket_graded({}, su, sv, max_degree)))
+        got = cache[w] = (img, None if max_degree is None
+                          else _by_degree(img))
+    return got
 
 
 # ---------------------------------------------------------------------------

@@ -37,13 +37,13 @@ from grtlab import ihara
 from grtlab.cli import run
 from grtlab.derivations import X, XY, Y
 from grtlab.ihara import (_eval_word, _hex_pairs, _pentagon_rows,
-                          _symmetry_images, five_cycle_budget,
-                          five_cycle_route)
-from grtlab.lie import _merge_scaled, _word_images, from_coordinates
-from grtlab.linalg import _echelon, _sparse
+                          five_cycle_budget, five_cycle_route)
+from grtlab.lie import _merge_scaled, from_coordinates
+from grtlab.linalg import _echelon, _positive, _sparse
 from grtlab.words import _lyndon_tuples
 
-from conftest import random_homogeneous
+from conftest import (random_homogeneous, stacked_hex_space,
+                      stacked_specials, symmetry_defects)
 
 # checked against the modular route below and the free model in
 # test_freeness_table; degrees 11 and 12 live in the slow tests
@@ -354,12 +354,16 @@ def test_pentagon_base_part_is_two_cycle_defect():
     # The base parts of the five pairs add up to w + w(y, x), the 2-cycle
     # defect; this is why the 5-cycle evaluator may skip them.
     for n in range(2, 9):
-        images = _symmetry_images(n)
-        for w in _lyndon_tuples((1, 1), n):
+        words = _lyndon_tuples((1, 1), n)
+        for w in words:
             base = {}
             for p in range(5):
                 _merge_scaled(base, _eval_word(p, w, None)[1], 1)
-            assert base == images[w][0], w
+            f = LieElement(XY, {w: 1})
+            assert base == symmetry_defects(f)[0].terms, w
+            # the library's 2-cycle defect, keyed by word index
+            defect = ihara._symmetry_rows(f, n, 0)
+            assert base == {words[i]: c for i, c in defect.items()}, w
 
 
 def test_basis_elements_are_stable():
@@ -421,6 +425,72 @@ def _witness_by_kernel(f):
             return from_coordinates(
                 XY, n, [Fraction(c, v[-1]) for c in v[:-1]])
     return None
+
+
+def _span(elements, p=None):
+    """The canonical basis of the span of the elements: reduced echelon
+    rows keyed by word, primitive with positive leading entry, or monic
+    residues over GF(p)."""
+    rows = [r for r in (_sparse(f.terms, p) for f in elements) if r]
+    red, _ = _echelon(rows, p, reduced=True)
+    return [_positive(r) for r in red] if p is None else red
+
+
+def _special_halves(n, p=None):
+    """The (f, u) halves of ihara._special_pairs(n, p)."""
+    d = len(_lyndon_tuples((1, 1), n))
+    return [(from_coordinates(XY, n, v[:d]), from_coordinates(XY, n, v[d:]))
+            for v in ihara._special_pairs(n, p)]
+
+
+def test_hex_space_matches_stacked_route():
+    # the special kernel on d columns, and the 3-cycle through sigma alone
+    # after the 2-cycle, against the 2d-column kernel and one stacked cut
+    # of both defects by substitution
+    for n in range(2, 12):
+        hexes = _hex_pairs(n)
+        assert _span(hexes) == _span(stacked_hex_space(n)), n
+        assert len(_span(hexes)) == len(hexes)
+        specials = [f for f, _ in _special_halves(n)]
+        assert _span(specials) == _span(stacked_specials(n)), n
+    for p in (2, 3, 691):
+        for n in range(2, 11):
+            hexes = _hex_pairs(n, p)
+            assert _span(hexes, p) == _span(stacked_hex_space(n, p), p)
+            assert len(_span(hexes, p)) == len(hexes), (n, p)
+            specials = [f for f, _ in _special_halves(n, p)]
+            assert _span(specials, p) == _span(stacked_specials(n, p), p)
+
+
+def test_special_pairs_satisfy_the_special_condition():
+    z = -X - Y
+    for n in range(2, 12):
+        for f, u in _special_halves(n):
+            lhs, rhs = bracket(Y, f), bracket(z, u)
+            assert f and lhs == rhs, n
+            if n <= 9:
+                assert not expand_assoc(lhs - rhs).terms
+    for p in (2, 3, 691):
+        for n in range(2, 11):
+            for f, u in _special_halves(n, p):
+                assert all(c % p == 0 for c in
+                           (bracket(Y, f) - bracket(z, u)).terms.values())
+
+
+def test_per_degree_caches_key_on_degree_and_prime():
+    # stage(n) and stage(n, None) are one entry: the witness reads the
+    # kernel the stable build made, and _hex_pairs(n) the cached hex space
+    ihara.clear_caches()
+    for n in range(2, 11):
+        special_basis(n)
+    assert ihara._special_pairs.cache_info()[:2] == (0, 9)
+    special_witness(special_basis(10)[0])
+    assert ihara._special_pairs.cache_info()[:2] == (1, 9)
+    for stage in (_hex_pairs, ihara._stable_pairs):
+        before = stage.cache_info()
+        stage(10)
+        stage(10, None)
+        assert stage.cache_info()[:2] == (before.hits + 2, before.misses)
 
 
 def test_special_witness_identity():
@@ -501,31 +571,13 @@ def test_is_stable_rejections():
                 assert not is_stable(f)
 
 
-@functools.lru_cache(maxsize=None)
-def _substitution(imgs):
-    """The word images of the substitution letter i -> imgs[i], kept
-    across calls."""
-    return _word_images(imgs)
-
-
-def _substitute(f, imgs):
-    on_word = _substitution(imgs)
-    acc = {}
-    for w, c in f.terms.items():
-        _merge_scaled(acc, on_word(w).terms, c)
-    return LieElement(XY, acc)
-
-
 def _in_d_by_four_conditions(f, n):
     """Reference oracle for is_stable: f is special (a witness by the
     dense kernel route), its 2-cycle and 3-cycle defects vanish (by
     substitution), and it lies in the row space of the basis of D_n."""
     if not f:
         return True
-    z = -X - Y
-    if (_witness_by_kernel(f) is None
-            or f + _substitute(f, (Y, X))
-            or f + _substitute(f, (Y, z)) + _substitute(f, (z, X))):
+    if _witness_by_kernel(f) is None or any(symmetry_defects(f)):
         return False
     rows = [[int(c) for c in b.coordinates(n)] for b in special_basis(n)]
     return in_row_space(rows, f.coordinates(n))
@@ -877,12 +929,12 @@ def test_clear_caches_rebuilds_identical_bases():
     ihara.clear_caches()
     assert not any(ihara._EVAL_CACHE) and not ihara._ACT_ON_WORD
     assert not ihara._ACT_IM
-    # every lru_cache of the module, so that a new one is not missed: six
+    # every lru_cache of the module, so that a new one is not missed: five
     # per-degree caches, the per-operand derivations and verdicts of
     # ihara_bracket, and its brackets per pair of operands
     cached = [f for f in vars(ihara).values() if hasattr(f, "cache_info")
               and f.__module__ == ihara.__name__]
-    assert len(cached) == 9
+    assert len(cached) == 8
     assert all(f.cache_info().currsize == 0 for f in cached)
     assert ihara._operand_derivation.cache_info().currsize == 0
     assert {n: special_basis(n) for n in range(2, 10)} == before

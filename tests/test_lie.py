@@ -1,5 +1,6 @@
 """Lie element arithmetic: bracket axioms, tensor-algebra oracle, printing."""
 
+import gc
 import random
 from fractions import Fraction
 
@@ -22,6 +23,8 @@ from grtlab import (
     substitute,
     witt_dim,
 )
+
+from grtlab.lie import _word_images
 
 from conftest import XY, XYZ, random_element, random_homogeneous
 
@@ -250,3 +253,18 @@ def test_bounded_product_matches_truncation():
                 assert a.times(b, k) == full.truncate(k)
     with pytest.raises(AlphabetMismatchError):
         AssocPoly(XY, {(0,): 1}).times(AssocPoly(weighted, {(0,): 1}), 3)
+
+
+def test_word_images_free_their_memo_without_gc():
+    # the memo of a substitution map is in no reference cycle, so the
+    # images go as soon as the map does, not at the next collection
+    x, y = (LieElement.generator(XY, c) for c in "xy")
+    gc.collect()
+    gc.disable()
+    try:
+        on_word = _word_images((y, x))
+        assert on_word((0, 0, 1, 0, 1, 1))
+        del on_word
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -19,13 +19,12 @@ from grtlab import (
     smith_normal_form,
 )
 from grtlab import ihara
-from grtlab.derivations import XY
-from grtlab.lie import from_coordinates
 from grtlab.linalg import (_column_kernel, _echelon, _kernel_of_echelon,
                            _rows_of, _sparse)
 from grtlab.words import _lyndon_tuples
 
-from conftest import random_int_matrix
+from conftest import (random_int_matrix, stacked_special_dense,
+                      stacked_specials, symmetry_defects)
 
 PRIMES = [23, 101, 997]
 # 5-cycle fiber budgets: the a1-degree <= 1 quotient alone, and the one
@@ -249,7 +248,7 @@ def test_kernel_read_off_matches_fraction_route():
         assert kernel_basis([[0] * cols]) == _kernel_by_fractions(
             [[0] * cols])
     for n in range(2, 10):
-        m = _special_pair_dense(n)
+        m = stacked_special_dense(n)
         assert kernel_basis(m) == _kernel_by_fractions(m)
 
 
@@ -276,12 +275,6 @@ def _dense(cols, keys=None):
     return [[col.get(k, 0) for col in cols] for k in keys]
 
 
-def _special_pair_dense(n):
-    """The special-pair matrix of degree n in Lyndon coordinates."""
-    return _dense(ihara._special_pair_matrix(n),
-                  _lyndon_tuples((1, 1), n + 1))
-
-
 def _cut_echelon(n, cap, p=None):
     """Reduced echelon form of the 5-cycle cut matrix in degree n: the
     fiber-word columns of the hex elements transposed into sparse rows."""
@@ -306,13 +299,10 @@ def _cut_matrix(n, cap, p=None):
 def _symmetry_matrix(n):
     """The 2- and 3-cycle conditions on the specials of degree n, one
     column per special: the matrix whose kernel gives the hex space."""
-    d = len(_lyndon_tuples((1, 1), n))
     basis = _lyndon_tuples((1, 1), n)
-    specials = [from_coordinates(XY, n, v[:d])
-                for v in kernel_basis(_special_pair_dense(n))]
     return [list(row) for row in zip(*(
-        [defect.get(w, 0) for defect in ihara._symmetry_rows(f, n)
-         for w in basis] for f in specials))]
+        [defect.terms.get(w, 0) for defect in symmetry_defects(f)
+         for w in basis] for f in stacked_specials(n)))]
 
 
 def _differential_inputs():
@@ -334,7 +324,7 @@ def _differential_inputs():
         yield [[rng.randint(-5, 5)] for _ in range(k)]
         yield [[0] * k]
     for n in range(2, 11):
-        yield _special_pair_dense(n)
+        yield stacked_special_dense(n)
         for cap in ((A1_ONLY, A2_LE_4, None) if n <= 8
                     else (A1_ONLY, A2_LE_4)):
             m = _cut_matrix(n, cap)
