@@ -89,7 +89,7 @@ class Derivation:
         acc: dict = {}
         for w, c in e.terms.items():
             _merge_scaled(acc, self._on_word(w), c)
-        return LieElement(XY, acc)
+        return LieElement._of(XY, acc)
 
     def __call__(self, e: LieElement) -> LieElement:
         return self.apply(e)

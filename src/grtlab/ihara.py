@@ -563,7 +563,7 @@ def special_basis(n: int) -> list[LieElement]:
     primitive integer coordinate vectors)."""
     if n < 1:
         raise PreconditionError("degree must be >= 1")
-    return [LieElement(XY, dict(f.terms)) for f in _stable_pairs(n)[0]]
+    return [LieElement._of(XY, dict(f.terms)) for f in _stable_pairs(n)[0]]
 
 
 def special_dim(n: int) -> int:
@@ -728,7 +728,7 @@ def _split_operand(f: LieElement) -> tuple:
     if f.terms[min(f.terms)] < 0:
         g = -g
     c = g if den == 1 else Fraction(g, den)
-    return c, LieElement(f.alphabet, {
+    return c, LieElement._of(f.alphabet, {
         w: a.numerator // g * (den // a.denominator)
         for w, a in f.terms.items()})
 

@@ -54,6 +54,17 @@ class _SparseVector:
     def zero(cls, alphabet: GradedAlphabet):
         return cls(alphabet, {})
 
+    @classmethod
+    def _of(cls, alphabet: GradedAlphabet, terms: dict):
+        """An element that adopts ``terms`` as it is, without the
+        constructor's copy and filter.  ``terms`` must be a freshly built
+        dict of nonzero coefficients that no cache or caller still holds,
+        since the element's owner may mutate it."""
+        e = cls.__new__(cls)
+        e.alphabet = alphabet
+        e.terms = terms
+        return e
+
     def _check(self, other) -> None:
         if self.alphabet != other.alphabet:
             raise AlphabetMismatchError(
@@ -64,7 +75,7 @@ class _SparseVector:
         self._check(other)
         acc = dict(self.terms)
         _merge_scaled(acc, other.terms, sign)
-        return type(self)(self.alphabet, acc)
+        return type(self)._of(self.alphabet, acc)
 
     def __add__(self, other):
         return self._merged(other, 1)
@@ -76,9 +87,9 @@ class _SparseVector:
         return self.scale(-1)
 
     def scale(self, scalar):
-        return type(self)(self.alphabet,
-                          {w: scalar * c for w, c in self.terms.items()}
-                          if scalar else {})
+        return type(self)._of(self.alphabet,
+                              {w: scalar * c for w, c in self.terms.items()}
+                              if scalar else {})
 
     __rmul__ = scale
 
@@ -174,33 +185,27 @@ def from_coordinates(alphabet: GradedAlphabet, degree: int,
 # bracket via Lyndon rewriting
 
 
-def _is_standard_pair(u: Word, v: Word) -> bool:
-    """For Lyndon u < v: is (u, v) the standard factorization of u+v?
-    Holds iff u is a letter or the right standard factor of u is >= v."""
-    return len(u) == 1 or _std_factorization(u)[1] >= v
-
-
 @functools.lru_cache(maxsize=None)
 def _basis_bracket(u: Word, v: Word) -> tuple[tuple[Word, int], ...]:
-    """[sigma(u), sigma(v)] expanded in the Lyndon basis, as a tuple of
-    (word, integer coefficient) pairs.
+    """[sigma(u), sigma(v)] expanded in the Lyndon basis, for Lyndon
+    words u < v, as a tuple of (word, integer coefficient) pairs sorted by
+    word.  Only ordered pairs are memoized: :func:`_bracket_into` serves
+    a reversed pair by antisymmetry and skips equal words.
 
-    For u < v with (u, v) standard the result is sigma(uv).  Otherwise u
-    is composite, u = ab, and the Jacobi identity
-    [[a,b],v] = [a,[b,v]] - [b,[a,v]] pushes the computation to brackets
-    of lower total degree plus pairs with shorter left factors; the
-    process terminates and produces integer constants.
+    If u is a letter, or its right standard factor b is >= v, then (u, v)
+    is the standard factorization of uv and the result is sigma(uv).
+    Otherwise u = ab with b < v, and the Jacobi identity
+    [[a,b],v] = [a,[b,v]] + [[a,v],b] pushes the computation to brackets
+    of lower total degree plus pairs with shorter left factors (a < u <
+    v and b < v); the process terminates and produces integer constants.
     """
-    if u == v:
-        return ()
-    if v < u:
-        return tuple((w, -c) for w, c in _basis_bracket(v, u))
-    if _is_standard_pair(u, v):
-        return ((u + v, 1),)
-    a, b = _std_factorization(u)
-    acc = _bracket_into({}, {a: 1}, dict(_basis_bracket(b, v)))
-    _bracket_into(acc, dict(_basis_bracket(a, v)), {b: 1})
-    return tuple(sorted(acc.items()))
+    if len(u) > 1:
+        a, b = _std_factorization(u)
+        if b < v:
+            acc = _bracket_into({}, {a: 1}, dict(_basis_bracket(b, v)))
+            _bracket_into(acc, dict(_basis_bracket(a, v)), {b: 1})
+            return tuple(sorted(acc.items()))
+    return ((u + v, 1),)
 
 
 def _bracket_into(acc: dict, t1: Mapping, t2: Mapping) -> dict:
@@ -209,8 +214,15 @@ def _bracket_into(acc: dict, t1: Mapping, t2: Mapping) -> dict:
     get = acc.get
     for u, cu in t1.items():
         for v, cv in t2.items():
-            c = cu * cv
-            for w, n in _basis_bracket(u, v):
+            if u < v:
+                c = cu * cv
+                terms = _basis_bracket(u, v)
+            elif v < u:
+                c = -cu * cv
+                terms = _basis_bracket(v, u)
+            else:
+                continue
+            for w, n in terms:
                 new = get(w, 0) + c * n
                 if new:
                     acc[w] = new
@@ -231,8 +243,8 @@ def bracket(a: LieElement, b: LieElement,
     if a.alphabet != b.alphabet:
         raise AlphabetMismatchError("bracket operands over different alphabets")
     if max_degree is None:
-        return LieElement(a.alphabet, _bracket_into({}, a.terms, b.terms))
-    return LieElement(a.alphabet, _bracket_graded(
+        return LieElement._of(a.alphabet, _bracket_into({}, a.terms, b.terms))
+    return LieElement._of(a.alphabet, _bracket_graded(
         {}, _by_degree(a), _by_degree(b), max_degree))
 
 
@@ -283,7 +295,7 @@ def substitute(f: LieElement, images: Iterable[LieElement],
     acc: dict[Word, object] = {}
     for w, c in f.terms.items():
         _merge_scaled(acc, on_word(w).terms, c)
-    return LieElement(target, acc)
+    return LieElement._of(target, acc)
 
 
 def _word_images(imgs: tuple[LieElement, ...], max_degree: int | None = None
@@ -313,8 +325,8 @@ def _word_image(w: Word, imgs, max_degree, cache: dict
             (iu, su), (iv, sv) = (_word_image(x, imgs, max_degree, cache)
                                   for x in (u, v))
             img = (bracket(iu, iv) if max_degree is None else
-                   LieElement(iu.alphabet,
-                              _bracket_graded({}, su, sv, max_degree)))
+                   LieElement._of(iu.alphabet,
+                                  _bracket_graded({}, su, sv, max_degree)))
         got = cache[w] = (img, None if max_degree is None
                           else _by_degree(img))
     return got
@@ -425,27 +437,36 @@ def project_lyndon(p: AssocPoly) -> LieElement:
 # canonical printing
 
 
-def _word_bracket_str(alphabet: GradedAlphabet, w: Word) -> str:
-    if len(w) == 1:
-        return alphabet.names[w[0]]
-    u, v = _std_factorization(w)
-    return (f"[{_word_bracket_str(alphabet, u)},"
-            f"{_word_bracket_str(alphabet, v)}]")
+def _word_bracket_str(alphabet: GradedAlphabet, w: Word, memo: dict) -> str:
+    """The standard bracketing of w as text, kept in ``memo`` along with
+    the bracketings of its standard factors."""
+    text = memo.get(w)
+    if text is None:
+        if len(w) == 1:
+            text = alphabet.names[w[0]]
+        else:
+            u, v = _std_factorization(w)
+            text = (f"[{_word_bracket_str(alphabet, u, memo)},"
+                    f"{_word_bracket_str(alphabet, v, memo)}]")
+        memo[w] = text
+    return text
 
 
 def lie_to_string(e: LieElement) -> str:
     """Canonical rendering: terms sorted by (degree, word), coefficients
-    in lowest terms, Lyndon words printed as their standard bracketings.
-    ``parse_lie`` inverts this exactly."""
+    in lowest terms, Lyndon words printed as their standard bracketings,
+    each bracketing built once per call.  ``parse_lie`` inverts this
+    exactly."""
     if not e.terms:
         return "0"
     items = sorted(e.terms.items(),
                    key=lambda kv: (e.alphabet.word_degree(kv[0]), kv[0]))
+    memo: dict[Word, str] = {}
     parts: list[str] = []
     for w, c in items:
         frac = c if isinstance(c, Fraction) else Fraction(c)
         mag = abs(frac)
-        body = _word_bracket_str(e.alphabet, w)
+        body = _word_bracket_str(e.alphabet, w, memo)
         text = body if mag == 1 else f"{mag}*{body}"
         if not parts:
             parts.append(text if frac > 0 else f"-{text}")

@@ -101,12 +101,11 @@ class GradedAlphabet:
 
 
 def is_lyndon(word: Sequence[int]) -> bool:
-    """True iff ``word`` is strictly smaller than all its proper rotations."""
-    n = len(word)
-    if n == 0:
-        return False
+    """True iff ``word`` is nonempty and strictly smaller than each of its
+    proper suffixes, which for nonempty words is the same as strictly
+    smaller than each of its proper rotations."""
     w = tuple(word)
-    return all(w < w[i:] + w[:i] for i in range(1, n))
+    return bool(w) and all(w < w[i:] for i in range(1, len(w)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -197,13 +196,13 @@ def lyndon_words(alphabet: GradedAlphabet, degree: int) -> list[LyndonWord]:
 
 @functools.lru_cache(maxsize=None)
 def _std_factorization(letters: Word) -> tuple[Word, Word]:
-    """Standard factorization w = u v, with v the longest proper Lyndon
-    suffix of w.  Both factors are Lyndon and u < v."""
-    n = len(letters)
-    for start in range(1, n):
-        if is_lyndon(letters[start:]):
-            return letters[:start], letters[start:]
-    raise AssertionError(f"no Lyndon suffix in {letters}")  # unreachable
+    """Standard factorization w = u v of a Lyndon word w of length >= 2,
+    with v the longest proper Lyndon suffix of w.  That suffix is the
+    lexicographically least proper suffix: the least one is smaller than
+    its own suffixes, hence Lyndon, and a longer Lyndon suffix would be
+    smaller still.  Both factors are Lyndon and u < v."""
+    v = min(letters[i:] for i in range(1, len(letters)))
+    return letters[:len(letters) - len(v)], v
 
 
 def standard_factorization(w: LyndonWord) -> tuple[LyndonWord, LyndonWord]:

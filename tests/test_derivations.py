@@ -69,6 +69,25 @@ def test_apply_matches_tensor_route():
                 images, expand_assoc(a))
 
 
+def test_apply_results_own_their_terms():
+    # mutating a result reaches neither the operand, the generator
+    # images, the kept word images nor later results
+    rng = random.Random(409)
+    d = _random_derivation(rng, 3)
+    a = random_element(XY, 6, rng, rational=True)
+    saved = (dict(a.terms), dict(d.image_x.terms), dict(d.image_y.terms))
+    want = d(a)
+    images = {w: dict(t) for w, t in d._cache.items()}
+    for e in (a, X, Y):
+        got = d(e)
+        got.terms.clear()
+        got.terms[(0,)] = 7
+    assert (dict(a.terms), dict(d.image_x.terms),
+            dict(d.image_y.terms)) == saved
+    assert {w: d._cache[w] for w in images} == images
+    assert d(a) == want
+
+
 def test_generator_images_define_derivation():
     rng = random.Random(402)
     d = _random_derivation(rng, 2)

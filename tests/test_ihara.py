@@ -841,6 +841,39 @@ def test_bracket_cache_hands_out_copies():
     assert ihara_bracket(s7, s3) == -want
 
 
+def test_bracket_results_own_their_terms():
+    # a caller mutating a bracket, or a basis element it bracketed,
+    # reaches neither the operands, the kept bracket, the kept
+    # derivation images nor later results
+    ihara.clear_caches()
+    s3, f8 = soule_generator(3), special_basis(8)[0]
+    saved = (dict(s3.terms), dict(f8.terms))
+    want = _reference_bracket(s3, f8)
+    (_, p3), (_, p8) = ihara._split_operand(s3), ihara._split_operand(f8)
+    misses = ihara._primitive_bracket.cache_info().misses + 1
+    for f, g in ((s3, f8), (f8.scale(2), s3), (s3.scale(-1), f8)):
+        got = ihara_bracket(f, g)
+        got.terms.clear()
+        got.terms[(0, 1)] = 1
+    first, second = sorted((p3, p8), key=ihara._bracket_order)
+    sign = 1 if first == p3 else -1
+    kept = ihara._primitive_bracket(first, second)
+    assert ihara._primitive_bracket.cache_info().misses == misses
+    assert kept == want.scale(sign)
+    images = {p: {w: dict(t) for w, t in ihara._operand_derivation(p)
+                  ._cache.items()} for p in (p3, p8)}
+    basis = special_basis(8)
+    basis[0].terms.clear()
+    assert (dict(s3.terms), dict(f8.terms)) == saved
+    assert ihara_bracket(s3, special_basis(8)[0]) == want
+    assert ihara_bracket(f8, s3) == -want
+    assert ihara._primitive_bracket(first, second) is kept
+    assert kept == want.scale(sign)
+    assert ihara._primitive_bracket.cache_info().misses == misses
+    assert {p: ihara._operand_derivation(p)._cache
+            for p in (p3, p8)} == images
+
+
 def test_congruence_sign_table_reuses_two_brackets():
     for m in (3, 5, 7, 9):
         soule_generator(m)

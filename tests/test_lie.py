@@ -25,6 +25,7 @@ from grtlab import (
 )
 
 from grtlab.lie import _word_images
+from grtlab.words import _lyndon_tuples
 
 from conftest import XY, XYZ, random_element, random_homogeneous
 
@@ -70,6 +71,48 @@ def test_bracket_matches_tensor_commutator():
         b = random_element(alphabet, 4, rng)
         ta, tb = expand_assoc(a), expand_assoc(b)
         assert expand_assoc(bracket(a, b)) == ta * tb - tb * ta
+
+
+def test_basis_brackets_match_tensor_commutator():
+    # every ordered pair of basis words, equal pairs included, so both
+    # the memoized order and its antisymmetric mirror are checked
+    for alphabet, top in ((XY, 10), (XYZ, 7)):
+        words = [LieElement(alphabet, {w: 1})
+                 for n in range(1, top)
+                 for w in _lyndon_tuples(alphabet.degrees, n)]
+        for a in words:
+            ta = expand_assoc(a)
+            for b in words:
+                if (a.homogeneous_degree() + b.homogeneous_degree()
+                        <= top):
+                    tb = expand_assoc(b)
+                    assert bracket(a, b) == project_lyndon(
+                        ta * tb - tb * ta), (a, b)
+
+
+def test_results_own_their_terms():
+    # mutating a result reaches neither its operands nor later results
+    rng = random.Random(113)
+    x, y = (LieElement.generator(XY, c) for c in "xy")
+    a = random_element(XY, 5, rng, rational=True)
+    b = random_element(XY, 5, rng, rational=True)
+    saved = [dict(e.terms) for e in (a, b, x, y)]
+    ops = [lambda: a.scale(3), lambda: a.scale(1), lambda: -a,
+           lambda: a + b, lambda: a - b,
+           lambda: a + LieElement.zero(XY), lambda: bracket(a, b),
+           lambda: bracket(a, b, max_degree=6),
+           lambda: substitute(a, (y, x)),
+           lambda: substitute(a, (x + y, y), max_degree=4)]
+    for op in ops:
+        want = op()
+        assert want
+        got = op()
+        got.terms.clear()
+        got.terms[(0,)] = 7
+        assert [dict(e.terms) for e in (a, b, x, y)] == saved
+        assert op() == want
+    assert a.scale(0) == LieElement.zero(XY)
+    assert not a.scale(0).terms
 
 
 def test_truncated_bracket_matches_truncation():

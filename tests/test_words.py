@@ -5,7 +5,8 @@ import random
 import pytest
 
 from grtlab.errors import AtomicWordError
-from grtlab.words import (GradedAlphabet, all_words, is_lyndon, lyndon_words,
+from grtlab.words import (GradedAlphabet, _lyndon_tuples, _std_factorization,
+                          all_words, is_lyndon, lyndon_words,
                           standard_factorization, tate_weight,
                           weighted_witt_dims, witt_dim)
 
@@ -25,13 +26,33 @@ def test_lyndon_count_matches_witt():
         assert len(lyndon_words(XYZ, n)) == witt_dim(3, n)
 
 
+def _lyndon_by_rotations(w):
+    """The reference definition: strictly smaller than all proper
+    rotations."""
+    return all(w < w[i:] + w[:i] for i in range(1, len(w)))
+
+
 def test_is_lyndon_definition_brute_force():
     """A word is Lyndon iff strictly smaller than all proper rotations."""
-    for n in range(1, 8):
-        for w in all_words(XY, n):
-            rotations = [w[i:] + w[:i] for i in range(1, len(w))]
-            expected = all(w < r for r in rotations)
-            assert is_lyndon(w) == expected
+    for alphabet, top in ((XY, 12), (XYZ, 7)):
+        for n in range(1, top + 1):
+            for w in all_words(alphabet, n):
+                assert is_lyndon(w) == _lyndon_by_rotations(w), w
+    assert not is_lyndon(())
+
+
+def test_std_factorization_takes_longest_lyndon_suffix():
+    """The least proper suffix is the longest proper Lyndon suffix, on
+    every Lyndon word of equal and of weighted letter degrees."""
+    for alphabet, top in ((XY, 14), (XYZ, 9),
+                          (GradedAlphabet("a:1 b:2 c:3"), 14)):
+        for n in range(2, top + 1):
+            for w in _lyndon_tuples(alphabet.degrees, n):
+                if len(w) == 1:
+                    continue
+                start = min(k for k in range(1, len(w))
+                            if _lyndon_by_rotations(w[k:]))
+                assert _std_factorization(w) == (w[:start], w[start:]), w
 
 
 def test_all_words_count():
