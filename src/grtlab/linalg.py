@@ -268,23 +268,40 @@ def _identity(n: int) -> list[list[int]]:
 
 
 def _mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    if not a or not b:
-        return []
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    """The product a b, len(a) rows of as many entries as b has columns
+    (none when b has no rows), also when a dimension is 0.  Zero entries
+    of a and b are skipped."""
+    cols = len(b[0]) if b else 0
+    nonzero = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for row in a:
+        acc = [0] * cols
+        for x, b_row in zip(row, nonzero):
+            if x:
+                for j, y in b_row:
+                    acc[j] += x * y
+        out.append(acc)
+    return out
 
 
 def smith_normal_form(m) -> SNFResult:
     """Smith normal form of an integer matrix by gcd-reduction pivoting.
 
-    The factorization U A V = D is re-multiplied and verified before
-    returning; unimodularity holds by construction since U and V are
-    products of swaps, sign flips, and shear rows/columns.
+    The pivot of each step is the first entry of least magnitude, in row
+    order, of the trailing block.  The factorization U A V = D is
+    re-multiplied and verified before returning, and so is the
+    divisibility chain; unimodularity holds by construction since U and
+    V are products of swaps, sign flips, and shear rows/columns.  The
+    scans and the check skip zero entries, which a tall lattice matrix
+    and its U are mostly made of.
     """
-    A = [[int(x) for x in row] for row in _dense_rows(m)]
-    for row, orig in zip(A, _dense_rows(m)):
-        if any(Fraction(x) != Fraction(y) for x, y in zip(row, orig)):
+    orig = _dense_rows(m)
+    A = [[int(x) for x in row] for row in orig]
+    for row, o in zip(A, orig):
+        if any(type(y) is not int and Fraction(y) != x
+               for x, y in zip(row, o)):
             raise ValueError("smith_normal_form needs integer entries")
+    A0 = [row[:] for row in A]
     nr = len(A)
     nc = len(A[0]) if A else 0
     U = _identity(nr)
@@ -295,10 +312,10 @@ def smith_normal_form(m) -> SNFResult:
         U[i] = [a - q * b for a, b in zip(U[i], U[j])]
 
     def col_op(i, j, q):  # col_i -= q * col_j
-        for row in A:
-            row[i] -= q * row[j]
-        for row in V:
-            row[i] -= q * row[j]
+        for M in (A, V):
+            for row in M:
+                if row[j]:
+                    row[i] -= q * row[j]
 
     def swap_rows(i, j):
         A[i], A[j] = A[j], A[i]
@@ -312,17 +329,19 @@ def smith_normal_form(m) -> SNFResult:
 
     t = 0
     while t < min(nr, nc):
-        # locate a nonzero pivot of least magnitude in the trailing block
-        pivot = None
+        # locate the first nonzero pivot of least magnitude in the
+        # trailing block, row by row
+        least, pi = 0, None
         for i in range(t, nr):
-            for j in range(t, nc):
-                if A[i][j] and (pivot is None
-                                or abs(A[i][j]) < abs(A[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
+            x = min(map(abs, filter(None, A[i][t:])), default=0)
+            if x and (pi is None or x < least):
+                least, pi = x, i
+                if x == 1:
+                    break
+        if pi is None:
             break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
+        swap_rows(t, pi)
+        swap_cols(t, t + [abs(x) for x in A[t][t:]].index(least))
         while True:
             # clear column t by division with remainder
             dirty = False
@@ -345,15 +364,13 @@ def smith_normal_form(m) -> SNFResult:
                         break
             if dirty:
                 continue
-            # pivot must divide the rest of the block for the chain
-            offender = None
-            for i in range(t + 1, nr):
-                for j in range(t + 1, nc):
-                    if A[i][j] % A[t][t]:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            # pivot must divide the rest of the block for the chain; a
+            # unit pivot divides everything
+            piv = A[t][t]
+            if piv in (1, -1):
+                break
+            offender = next((i for i in range(t + 1, nr)
+                             if any(x % piv for x in A[i][t + 1:])), None)
             if offender is None:
                 break
             row_op(t, offender, -1)  # pull the offending row into row t
@@ -363,10 +380,7 @@ def smith_normal_form(m) -> SNFResult:
             A[i] = [-x for x in A[i]]
             U[i] = [-x for x in U[i]]
     result = SNFResult(U=U, D=A, V=V)
-    got = _mat_mul(_mat_mul(result.U, [[int(x) for x in row]
-                                       for row in _dense_rows(m)]),
-                   result.V)
-    if got != result.D:
+    if _mat_mul(_mat_mul(U, A0), V) != A:
         raise AssertionError("Smith normal form verification failed")
     inv = result.invariants
     for a, b in zip(inv, inv[1:]):
@@ -378,14 +392,26 @@ def smith_normal_form(m) -> SNFResult:
 def quotient_invariants(rows: Iterable[Sequence[int]],
                         ambient_rank: int) -> tuple[int, list[int]]:
     """Structure of Z^ambient_rank modulo the span of integer ``rows``:
-    returns (free rank, torsion invariants > 1, smallest first)."""
+    returns (free rank, torsion invariants > 1, smallest first).
+
+    Zero rows and rows equal, up to sign, to an earlier row are dropped
+    before the Smith form; the span they leave is the same lattice."""
     mat = [list(map(int, r)) for r in rows]
     for r in mat:
         if len(r) != ambient_rank:
             raise ValueError("row length disagrees with ambient rank")
-    if not mat:
+    seen = set()
+    kept = []
+    for r in mat:
+        key = tuple(r)
+        if key in seen or not any(r):
+            continue
+        seen.add(key)
+        seen.add(tuple(-x for x in r))
+        kept.append(r)
+    if not kept:
         return ambient_rank, []
-    inv = smith_normal_form(mat).invariants
+    inv = smith_normal_form(kept).invariants
     free = ambient_rank - len(inv)
     torsion = [d for d in inv if d > 1]
     return free, torsion

@@ -142,7 +142,10 @@ def inverse(a: NilpotentElement) -> NilpotentElement:
 def group_commutator(a: NilpotentElement,
                      b: NilpotentElement) -> NilpotentElement:
     """a b a^-1 b^-1; its lowest component is the bracket of the lowest
-    components of a and b."""
+    components of a and b.  :func:`filtration_report` does not call it:
+    the lattices need only that lowest component.  It is kept as the
+    group-law reference for :func:`word_to_group` and the filtration
+    levels."""
     _check_compatible(a, b)
     return bch(bch(bch(a, b), inverse(a)), inverse(b))
 
@@ -239,19 +242,28 @@ def _free_alphabet(k: int) -> GradedAlphabet:
 
 def _commutator_levels(gens, top: int) -> list[list[LieElement]]:
     """The left-normed m-fold brackets of the generators' degree-1 parts
-    for m = 1..top, level m at index m - 1.  Level m is [c, g] for c in
-    level m - 1 and g in level 1, so each bracket is formed once and every
-    level comes in the lexicographic order of its generator index tuples."""
-    levels = [[g.value.component(1) for g in gens]]
-    for _ in range(1, top):
-        levels.append([bracket(c, g) for c in levels[-1] for g in levels[0]])
+    for m = 1..top, level m at index m - 1, one per generator index tuple
+    (i1, .., im) with i1 < i2.  Level 2 is [g_i, g_j] for i < j; level
+    m >= 3 is [c, g] for c in level m - 1 and g in level 1, so each
+    bracket is formed once and every level comes in the lexicographic
+    order of its index tuples.  The tuples left out span nothing new, by
+    antisymmetry: i1 = i2 gives zero and i1 > i2 the negative of the
+    bracket with i1 and i2 swapped."""
+    first = [g.value.component(1) for g in gens]
+    levels = [first]
+    if top >= 2:
+        levels.append([bracket(a, b) for i, a in enumerate(first)
+                       for b in first[i + 1:]])
+    for _ in range(2, top):
+        levels.append([bracket(c, g) for c in levels[-1] for g in first])
     return levels
 
 
 def _graded_rows(elements, m: int) -> list[list[int]]:
     """Integer degree-m coordinate rows of homogeneous Lie elements."""
     rows = [e.coordinates(m) for e in elements]
-    if any(Fraction(c).denominator != 1 for row in rows for c in row):
+    if any(type(c) is not int and Fraction(c).denominator != 1
+           for row in rows for c in row):
         raise UnsupportedFamilyError(
             "graded span is not an integer lattice; the report "
             "is defined for integral generator logarithms")
@@ -280,8 +292,11 @@ def filtration_report(family, max_m: int) -> list[dict]:
     least deg a + deg b + 1, so the degree-m part of a left-normed m-fold
     group commutator is the left-normed bracket of the generators'
     degree-1 parts, and their higher terms never reach a lattice.  Each
-    bracket extends one from level m - 1 (124 for two generators at
-    class 6).  Level m is read in degree m, which misses any element whose
+    bracket extends one from level m - 1, and only index tuples with
+    i1 < i2 are bracketed, since the others give zero or a negative (31
+    brackets for two generators at class 6, not 124); the zero rows and
+    rows repeated up to sign that remain are dropped before the Smith
+    form.  Level m is read in degree m, which misses any element whose
     logarithm starts above degree 1, so generators whose degree-1 parts
     are linearly dependent raise :class:`UnsupportedFamilyError`.
     """

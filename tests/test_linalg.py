@@ -7,7 +7,9 @@ from math import gcd, lcm
 import pytest
 
 from grtlab import (
+    LieElement,
     PreconditionError,
+    bracket,
     in_row_space,
     kernel_basis,
     kernel_dim,
@@ -18,7 +20,7 @@ from grtlab import (
     reduced_echelon,
     smith_normal_form,
 )
-from grtlab import ihara
+from grtlab import ihara, malcev
 from grtlab.linalg import (_column_kernel, _echelon, _kernel_of_echelon,
                            _rows_of, _sparse)
 from grtlab.words import _lyndon_tuples
@@ -160,6 +162,92 @@ def _reference_rank_mod(m, p: int) -> int:
         if r == len(work):
             break
     return r
+
+
+def _reference_mat_mul(a, b):
+    if not a or not b:
+        return []
+    bt = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+
+
+def _reference_smith(m):
+    """The Smith form by the dense scans that :func:`smith_normal_form`
+    replaced: the same operation sequence, the pivot found by scanning
+    every entry of the trailing block, the divisor check by scanning
+    every entry below and right of the pivot, and U A V re-multiplied
+    densely.  Returns (U, D, V)."""
+    A = [list(row) for row in m]
+    nr = len(A)
+    nc = len(A[0]) if A else 0
+    U = [[int(i == j) for j in range(nr)] for i in range(nr)]
+    V = [[int(i == j) for j in range(nc)] for i in range(nc)]
+
+    def row_op(i, j, q):
+        A[i] = [a - q * b for a, b in zip(A[i], A[j])]
+        U[i] = [a - q * b for a, b in zip(U[i], U[j])]
+
+    def col_op(i, j, q):
+        for row in A + V:
+            row[i] -= q * row[j]
+
+    def swap_rows(i, j):
+        A[i], A[j] = A[j], A[i]
+        U[i], U[j] = U[j], U[i]
+
+    def swap_cols(i, j):
+        for row in A + V:
+            row[i], row[j] = row[j], row[i]
+
+    t = 0
+    while t < min(nr, nc):
+        pivot = None
+        for i in range(t, nr):
+            for j in range(t, nc):
+                if A[i][j] and (pivot is None
+                                or abs(A[i][j]) < abs(A[pivot[0]][pivot[1]])):
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        swap_rows(t, pivot[0])
+        swap_cols(t, pivot[1])
+        while True:
+            dirty = False
+            for i in range(t + 1, nr):
+                if A[i][t]:
+                    row_op(i, t, A[i][t] // A[t][t])
+                    if A[i][t]:
+                        swap_rows(i, t)
+                        dirty = True
+            if dirty:
+                continue
+            for j in range(t + 1, nc):
+                if A[t][j]:
+                    col_op(j, t, A[t][j] // A[t][t])
+                    if A[t][j]:
+                        swap_cols(j, t)
+                        dirty = True
+                        break
+            if dirty:
+                continue
+            offender = None
+            for i in range(t + 1, nr):
+                for j in range(t + 1, nc):
+                    if A[i][j] % A[t][t]:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            row_op(t, offender, -1)
+        t += 1
+    for i in range(min(nr, nc)):
+        if A[i][i] < 0:
+            A[i] = [-x for x in A[i]]
+            U[i] = [-x for x in U[i]]
+    assert _reference_mat_mul(_reference_mat_mul(U, m), V) == A
+    return U, A, V
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +523,89 @@ def test_smith_normal_form_factorization():
 def test_smith_rejects_fractions():
     with pytest.raises(ValueError):
         smith_normal_form([[Fraction(1, 2)]])
+
+
+def _free_level(k, m, ordered_pairs_only):
+    """The degree-m coordinate rows of the left-normed m-fold brackets of
+    the k letters, over every index tuple or over those with i1 < i2."""
+    gens = [LieElement(malcev._free_alphabet(k), {(i,): 1}) for i in range(k)]
+    level = [(i,) for i in range(k)]
+    for _ in range(1, m):
+        level = [t + (i,) for t in level for i in range(k)]
+    if ordered_pairs_only:
+        level = [t for t in level if t[0] < t[1]]
+    rows = []
+    for t in level:
+        e = gens[t[0]]
+        for i in t[1:]:
+            e = bracket(e, gens[i])
+        rows.append(e.coordinates(m))
+    return rows
+
+
+def _with_repeats(rng, m):
+    """m with some of its rows appended again, some of them negated."""
+    out = [list(row) for row in m]
+    for _ in range(rng.randint(1, 4)):
+        row = rng.choice(m)
+        out.append([-x for x in row] if rng.random() < 0.5 else list(row))
+    rng.shuffle(out)
+    return out
+
+
+def test_smith_matches_dense_reference():
+    rng = random.Random(20261020)
+    mats = []
+    for _ in range(120):
+        nr, nc = rng.randint(0, 8), rng.randint(1, 8)
+        density = rng.random()
+        bound = rng.choice([1, 2, 3, 9])
+        m = [[rng.randint(-bound, bound) if rng.random() < density else 0
+              for _ in range(nc)] for _ in range(nr)]
+        mats.append(m)
+        if m:
+            mats.append(_with_repeats(rng, m))
+    # tall sparse lattice matrices: the 64 x 9 level-6 matrix of two
+    # letters over every index tuple, and the 243 x 116 one of three
+    # letters over the tuples with i1 < i2
+    big = [_free_level(2, 6, False), _free_level(3, 6, True)]
+    assert [(len(m), len(m[0])) for m in big] == [(64, 9), (243, 116)]
+    for m in mats + big:
+        res = smith_normal_form(m)
+        assert (res.U, res.D, res.V) == _reference_smith(m)
+
+
+def test_smith_of_matrices_without_columns():
+    for nr in range(4):
+        res = smith_normal_form([[] for _ in range(nr)])
+        assert res.U == [[int(i == j) for j in range(nr)] for i in range(nr)]
+        assert res.D == [[] for _ in range(nr)]
+        assert res.V == []
+        assert res.invariants == []
+    assert quotient_invariants([[]], 0) == (0, [])
+    assert quotient_invariants([[], []], 0) == (0, [])
+
+
+def test_quotient_invariants_ignore_zero_and_repeated_rows():
+    rng = random.Random(20261021)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        m = random_int_matrix(rng, rng.randint(1, 6), n,
+                              bound=rng.choice([2, 9]))
+        want = quotient_invariants(m, n)
+        assert quotient_invariants(m + [[0] * n], n) == want
+        assert quotient_invariants([[0] * n] + m, n) == want
+        repeated = _with_repeats(rng, m)
+        assert quotient_invariants(repeated, n) == want
+        # the Smith form of every row, the repeats included, agrees
+        D = _reference_smith(repeated)[1]
+        inv = [D[i][i] for i in range(min(len(D), n)) if D[i][i]]
+        assert want == (n - len(inv), [d for d in inv if d > 1])
+    assert quotient_invariants([[0, 0], [0, 0]], 2) == (2, [])
+    assert (quotient_invariants([[2, 0], [-2, 0], [0, 3], [2, 0]], 2)
+            == (0, [6]))
+    # equal up to sign means all entries at once, not entry by entry
+    assert quotient_invariants([[1, -1], [1, 1]], 2) == (0, [2])
 
 
 def test_quotient_invariants_hand_values():

@@ -27,6 +27,7 @@ from grtlab import (
     malcev,
     parse_lie,
     universal_bch,
+    witt_dim,
     word_to_group,
 )
 from grtlab.malcev import (_commutator_levels, _exp_tensor, _log_tensor,
@@ -267,17 +268,16 @@ def test_filtration_rejects_bad_input():
 
 
 def _reference_iterated_commutators(gens, m):
-    """All left-normed m-fold group commutators of the generators, each
-    built from scratch along its index tuple: the route the commutator
-    tree replaced, kept as its reference."""
-    if m == 1:
-        return list(gens)
-    out = []
+    """Every left-normed m-fold group commutator of the generators, each
+    built from scratch along its index tuple and keyed by that tuple, in
+    lexicographic order: the route the commutator tree replaced, kept as
+    its reference."""
+    out = {}
     for idx in itertools.product(range(len(gens)), repeat=m):
         c = gens[idx[0]]
         for i in idx[1:]:
             c = group_commutator(c, gens[i])
-        out.append(c)
+        out[idx] = c
     return out
 
 
@@ -307,8 +307,17 @@ def test_commutator_levels_match_reference():
         levels = _commutator_levels(gens, top)
         assert len(levels) == top
         for m, level in enumerate(levels, start=1):
-            assert level == [c.value.component(m) for c in
-                             _reference_iterated_commutators(gens, m)]
+            ref = {idx: c.value.component(m) for idx, c in
+                   _reference_iterated_commutators(gens, m).items()}
+            assert level == [v for idx, v in ref.items()
+                             if m == 1 or idx[0] < idx[1]]
+            # each tuple left out brackets to zero or to the negative of
+            # the tuple with its first two indices swapped
+            for idx, v in ref.items():
+                if m > 1 and idx[0] == idx[1]:
+                    assert not v
+                elif m > 1 and idx[0] > idx[1]:
+                    assert v == ref[(idx[1], idx[0]) + idx[2:]].scale(-1)
     # index 2 in every level comes from the generator 2*y
     rows = filtration_report(SubgroupOfNilpotent(higher), 4)
     assert [r["rank"] for r in rows] == [2, 1, 2, 3]
@@ -336,4 +345,16 @@ def test_filtration_forms_each_commutator_once(monkeypatch):
     monkeypatch.setattr(malcev, "bracket", counted)
     rows = filtration_report(FreeGroup(2, 6), 6)
     assert [r["rank"] for r in rows] == [2, 1, 2, 3, 6, 9]
-    assert len(calls) == sum(2 ** m for m in range(2, 7)) == 124
+    # one bracket [x, y] at level 2, then two per bracket of the level below
+    assert len(calls) == sum(2 ** m for m in range(5)) == 31
+
+
+def test_free_group_ranks_follow_witt_formula():
+    # Witt's formula for the lower central series of a free group
+    # (Magnus-Karrass-Solitar, Combinatorial Group Theory, 5.7): the
+    # level-m quotient is free abelian of rank witt_dim(k, m)
+    for k, cls in ((2, 10), (3, 6)):
+        rows = filtration_report(FreeGroup(k, cls), cls)
+        assert [r["rank"] for r in rows] == [witt_dim(k, m)
+                                             for m in range(1, cls + 1)]
+        assert not any(r["d_mod_l"] or r["torsion"] for r in rows)
