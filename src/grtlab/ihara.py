@@ -17,8 +17,14 @@ chords meeting the fifth strand, and x, y act by the chord relations
 (see ``_LETTER_IM``).  Every chord x_{ij} is an explicit element of this
 model, so the 5-cycle sum is a finite exact computation.
 
-The 5-cycle cut is made in a quotient of that model and certified exact
-by a lower bound from the degrees below (see :func:`five_cycle_route`).
+D_n is decided without the 5-cycle where it can.  A lower bound on dim
+D_n from the degrees below certifies any space that contains D_n and has
+that dimension.  The first space tried is the 2-cycle kernel of the
+specials cut by single-letter rows of the linearized stuffle relation,
+which every element of D_n satisfies (Furusho; see :func:`_stuffle_cut`).
+Where that cut misses the bound, the hex space (special, 2-cycle and
+3-cycle) is cut by the 5-cycle, in a quotient of the model certified the
+same way, and then over the full model (see :func:`five_cycle_route`).
 :func:`special_dim_mod` runs the same stages over GF(p).
 
 Each f in D_n determines the derivation D_f with D_f(x) = 0 and
@@ -40,9 +46,11 @@ from .derivations import X, XY, Y, Derivation
 from .errors import (AlphabetMismatchError, DegenerateLeadingTermError,
                      NotOneDimensionalError, PreconditionError,
                      SpecialConditionError)
-from .lie import (LieElement, _bracket_into, _merge_scaled, _word_images,
-                  bracket, from_coordinates, lie_to_string)
-from .linalg import (_check_prime, _column_kernel, _echelon, _positive,
+from .lie import (LieElement, _bracket_into, _merge_scaled,
+                  _tensor_coefficients, _word_images, bracket,
+                  from_coordinates, lie_to_string)
+from .linalg import (_check_prime, _column_kernel, _echelon,
+                     _extend_echelon, _kernel_of_echelon, _positive,
                      _reduce, _sparse)
 from .motivic import image_model_dims
 from .words import _lyndon_tuples, _std_factorization
@@ -51,14 +59,14 @@ Z = LieElement(XY, {(0,): -1, (1,): -1})
 
 #: Default cap on the degree of stable-space computations offered by the
 #: command line.  On a 2-core VM (Python 3.11) a cold ``ihara freeness
-#: --max-degree N``, timed as a child process, takes 0.2-0.35 s at a peak
-#: RSS of 20 MiB for N = 10 and 1.2-1.5 s at 36 MiB for N = 12.
+#: --max-degree N``, timed as a child process, takes 0.14-0.2 s at a peak
+#: RSS of 18 MiB for N = 10 and 0.31-0.33 s at 21 MiB for N = 12.
 DEFAULT_MAX_DEGREE = 12
 #: Highest degree the command line accepts.  On the same VM N = 13 takes
-#: 3.2-4.6 s at 58 MiB and N = 14 takes 18-21 s at 189 MiB, whose degree-14
-#: step is 3-4.4 s of hex build and 6-9 s of 5-cycle cut and lower bound.
-#: At degree 15 the hex build takes 25-35 s; the 5-cycle step took 118 s
-#: (BENCH_half-width-hex.json, BENCH_two-grade-cut.json).
+#: 1.2-1.4 s at 29 MiB and N = 14 takes 2.2-3.4 s at 49 MiB; the stuffle
+#: cut decides every degree.  Through degree 15, run in a child process as
+#: ``freeness_table(15)``, it took 19-22 s at 139 MiB, against 117 s at
+#: 831 MiB for the 5-cycle route (BENCH_stuffle-cut.json).
 HARD_MAX_DEGREE = 14
 
 
@@ -292,17 +300,133 @@ def _pentagon_rows(n: int, elements: Sequence[Mapping], cap) -> list[dict]:
 
 def _cut(n: int, hexes, cap, p=None) -> tuple:
     """The hex elements whose 5-cycle sums vanish within the budget
-    ``cap``, as (basis, rows, pivots): the canonical basis, the same
-    elements as reduced echelon rows keyed by Lyndon word (primitive
-    integral, leading entry positive; over GF(p), monic residues), and
-    their pivot words.  Degree-n words compare in basis order, so the
-    pivots are those of the echelon form in Lyndon coordinates."""
+    ``cap``, as :func:`_canonical_cut` gives them."""
     combos = _column_kernel(
         _pentagon_rows(n, [f.terms for f in hexes], cap), p)
-    red, pivots = _echelon([f for f in _combine(combos, hexes, p) if f],
+    return _canonical_cut(combos, hexes, p)
+
+
+def _canonical_cut(combos, elements, p=None) -> tuple:
+    """The combinations of ``elements`` given by the coefficient vectors
+    ``combos``, as (basis, rows, pivots): the canonical basis of their
+    span, the same elements as reduced echelon rows keyed by Lyndon word
+    (primitive integral, leading entry positive; over GF(p), monic
+    residues), and their pivot words.  Degree-n words compare in basis
+    order, so the pivots are those of the echelon form in Lyndon
+    coordinates, and the result depends on the span alone."""
+    red, pivots = _echelon([f for f in _combine(combos, elements, p) if f],
                            p, reduced=True)
     rows = tuple(_positive(row) for row in red)
     return tuple(LieElement(XY, row) for row in rows), rows, tuple(pivots)
+
+
+# ---------------------------------------------------------------------
+# The linearized stuffle cut.
+#
+# Racinet's dmr_0 ("Doubles melanges des polylogarithmes multiples aux
+# racines de l'unite", Publ. IHES 95, 2002) holds the Lie series f whose
+# stuffle image f_* is primitive for the stuffle coproduct.  Furusho
+# proved that it contains grt_1 ("Double shuffle relation for
+# associators", Ann. of Math. 174, 2011), and grt_1 in degree n is D_n in
+# the variables x = e0, y = -e1.  Read the word x^(n1-1) y ... x^(nk-1) y
+# as the composition (n1, ..., nk) of depth k.  Each single letter y_a and
+# composition v of n - a then give a linear condition on D_n, the
+# coefficient of y_a * v in f_*, with * the stuffle product, in which y_a
+# merged with y_b is y_(a+b).  The correction term of f_* touches only
+# the composition 1^n, so the rows of depth < n read f alone: a row sums
+# (-1)^(k+1) (f | w) over the insertions w of y_a into v, of depth
+# k + 1 = len(v) + 1, and (-1)^k (f | w) over its merges, of depth k,
+# where (f | w) is the coefficient of w in the tensor expansion of f.
+# ---------------------------------------------------------------------
+
+def _composition_word(parts) -> tuple:
+    """The word x^(n1-1) y ... x^(nk-1) y of the composition parts."""
+    return tuple(c for m in parts for c in (0,) * (m - 1) + (1,))
+
+
+def _compositions(total: int, parts: int):
+    """The compositions of ``total`` into ``parts`` positive parts, in
+    lexicographic order."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(1, total - parts + 2):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first, *rest)
+
+
+def _stuffle_keys(n: int):
+    """The single-letter stuffle rows (a, v) of degree n, in the fixed
+    order in which :func:`_stuffle_cut` tries them: depth len(v) + 1
+    ascending from 2 to n - 1, then a, then v lexicographic.  The one row
+    of depth n, (1, 1^(n-1)), would read the correction term; it is
+    skipped."""
+    for depth in range(2, n):
+        for a in range(1, n - depth + 2):
+            for v in _compositions(n - a, depth - 1):
+                yield a, v
+
+
+def _stuffle_row(a: int, v: tuple) -> dict:
+    """The row of (y_a, v) as {word: coefficient} (see the notes above)."""
+    k = len(v)
+    row: dict = {}
+    for i in range(k + 1):
+        w = _composition_word((*v[:i], a, *v[i:]))
+        row[w] = row.get(w, 0) - (-1) ** k
+    for i in range(k):
+        w = _composition_word((*v[:i], a + v[i], *v[i + 1:]))
+        row[w] = row.get(w, 0) + (-1) ** k
+    return row
+
+
+def _stuffle_cut(n: int, bound: int, p: int | None = None):
+    """D_n cut out of the 2-cycle kernel by stuffle rows alone, as
+    :func:`_canonical_cut` gives it, over GF(p) when ``p`` is given; None
+    when the rows miss ``bound``, the number from :func:`_lower_bound`.
+
+    The rows are tried in the order of :func:`_stuffle_keys`; a row is
+    kept only when its values on the 2-cycle kernel raise the rank, and
+    the rows stop as soon as the kernel left has dimension ``bound``.
+    Every element of D_n satisfies every row (see the notes above), so
+    the cut holds D_n, and a cut of dimension ``bound`` is D_n (see
+    :func:`_stable_pairs`).  The value of a row on the element f_j is
+    the sum of s_w (f_j | w) over its words w; (f_j | w) is kept per word,
+    read off the tensor coefficients of the Lyndon words on w
+    (:func:`lie._tensor_coefficients`), with one memo of the substrings
+    of the words tried."""
+    elements = _two_cycle_kernel(n, p)
+    target = len(elements) - bound
+    if target < 0:
+        raise AssertionError(
+            f"degree {n}: lower bound {bound} exceeds the dimension "
+            f"{len(elements)} of the 2-cycle kernel")
+    columns: dict = {}
+    for j, f in enumerate(elements):
+        for w, c in f.terms.items():
+            columns.setdefault(w, []).append((j, c))
+    memo: dict = {}
+    on_word: dict = {}
+    ech: list = []
+    pivots: list = []
+    keys = _stuffle_keys(n)
+    while len(ech) < target:
+        key = next(keys, None)
+        if key is None:
+            return None
+        value: dict = {}
+        for w, s in _stuffle_row(*key).items():
+            at_w = on_word.get(w)
+            if at_w is None:
+                at_w = on_word[w] = {}
+                for word, c in _tensor_coefficients(w, memo).items():
+                    for j, cj in columns.get(word, ()):
+                        at_w[j] = at_w.get(j, 0) + c * cj
+            _merge_scaled(value, at_w, s)
+        _extend_echelon(ech, pivots, _sparse(value, p), p)
+    combos = _kernel_of_echelon(*_echelon(ech, p, reduced=True),
+                                len(elements))
+    return _canonical_cut(combos, elements, p)
 
 
 # ---------------------------------------------------------------------
@@ -312,7 +436,9 @@ def _cut(n: int, hexes, cap, p=None) -> tuple:
 # once, so that queries reuse it: is_stable reduces against the echelon
 # rows of D_n, and special_witness and the operand check of the verified
 # bracket read the special-pair kernel, as reduced echelon rows, and the
-# tau and sigma images of each Lyndon word.  The hex basis is cached too.
+# tau and sigma images of each Lyndon word.  The stuffle cut reads the tau
+# images alone; the sigma images are built on the first 3-cycle check of
+# a degree.  The hex basis of the fallback route is cached too.
 # ---------------------------------------------------------------------
 
 def clear_caches() -> None:
@@ -322,9 +448,10 @@ def clear_caches() -> None:
     :func:`ihara_bracket` keeps: the derivations and verdicts per operand
     and the brackets per pair of operands.  Later calls rebuild them,
     with identical results."""
-    for cached in (_special_pairs, _witness_rows, _symmetry_images,
-                   _hex_pairs, _stable_pairs, _operand_derivation,
-                   _operand_is_stable, _primitive_bracket):
+    for cached in (_special_pairs, _witness_rows, _tau_images,
+                   _sigma_images, _hex_pairs, _stable_pairs,
+                   _operand_derivation, _operand_is_stable,
+                   _primitive_bracket):
         cached.cache_clear()
     for cache in (*_EVAL_CACHE, _ACT_ON_WORD, _ACT_IM):
         cache.clear()
@@ -392,35 +519,66 @@ def _witness_rows(n: int) -> tuple:
 
 
 @functools.lru_cache(maxsize=None)
-def _symmetry_images(n: int) -> tuple:
+def _tau_images(n: int) -> tuple:
     """The index of each degree-n word in basis order, and per word w the
-    images tau(w) = w(y, x) and sigma(w) = w(y, z) as dicts over word
-    indices, which hash faster than words: tau swaps x and y, sigma maps
-    x -> y -> z -> x.  sigma^2 = tau sigma tau, so where tau f = -f the
-    3-cycle defect f + sigma f + sigma^2 f is f + sigma f - tau(sigma f),
-    and z -> x is never substituted (see :func:`_symmetry_rows`)."""
+    image tau(w) = w(y, x) as a dict over word indices, which hash faster
+    than words: tau swaps x and y.  The 2-cycle defect reads these alone;
+    the 3-cycle reads them too (see :func:`_sigma_images`)."""
     words = _lyndon_tuples((1, 1), n)
     at = {w: i for i, w in enumerate(words)}
-    subs = _word_images((Y, X)), _word_images((Y, Z))
-    return at, [tuple({at[v]: c for v, c in im(w).terms.items()}
-                      for im in subs) for w in words]
+    tau = _word_images((Y, X))
+    return at, [{at[v]: c for v, c in tau(w).terms.items()} for w in words]
+
+
+@functools.lru_cache(maxsize=None)
+def _sigma_images(n: int) -> list:
+    """Per degree-n word w, in basis order, the image sigma(w) = w(y, z)
+    as a dict over word indices (see :func:`_tau_images`): sigma maps
+    x -> y -> z -> x.  sigma^2 = tau sigma tau, so where tau f = -f the
+    3-cycle defect f + sigma f + sigma^2 f is f + sigma f - tau(sigma f),
+    and z -> x is never substituted (see :func:`_symmetry_rows`).  The
+    images are dense, so only the 3-cycle builds them: in the hex build
+    of the fallback route and in the cheap :func:`is_stable`."""
+    at, _ = _tau_images(n)
+    sigma = _word_images((Y, Z))
+    return [{at[v]: c for v, c in sigma(w).terms.items()}
+            for w in _lyndon_tuples((1, 1), n)]
 
 
 def _symmetry_rows(f: LieElement, n: int, part: int) -> dict:
     """The 2-cycle defect f + tau f (part 0) or the 3-cycle defect
     f + sigma f - tau(sigma f) (part 1) of f, homogeneous of degree n, as
     a raw dict over word indices.  Part 1 is f + f(y, z) + f(z, x) where
-    part 0 vanishes (:func:`_symmetry_images`), and means nothing else."""
-    at, images = _symmetry_images(n)
+    part 0 vanishes (:func:`_sigma_images`), and means nothing else."""
+    at, tau = _tau_images(n)
     own = {at[w]: c for w, c in f.terms.items()}
+    images = _sigma_images(n) if part else tau
     row: dict = {}
     for i, c in own.items():
-        _merge_scaled(row, images[i][part], c)
+        _merge_scaled(row, images[i], c)
     if part:
         for i, c in list(row.items()):
-            _merge_scaled(row, images[i][0], -c)
+            _merge_scaled(row, tau[i], -c)
     _merge_scaled(row, own, 1)
     return row
+
+
+def _symmetry_cut(elements, n: int, part: int, p=None) -> list:
+    """A basis of the combinations of ``elements`` whose 2-cycle (part 0)
+    or 3-cycle (part 1) defect vanishes (see :func:`_symmetry_rows`)."""
+    cols = [_symmetry_rows(f, n, part) for f in elements]
+    return [LieElement(XY, f)
+            for f in _combine(_column_kernel(cols, p), elements, p)]
+
+
+def _two_cycle_kernel(n: int, p: int | None = None) -> list:
+    """The f halves of :func:`_special_pairs` cut by the 2-cycle, over
+    GF(p) when ``p`` is given: the space that both routes of
+    :func:`_stable_pairs` cut further.  It is not cached; the fallback
+    route rebuilds it."""
+    d = len(_lyndon_tuples((1, 1), n))
+    specials = [from_coordinates(XY, n, v[:d]) for v in _special_pairs(n, p)]
+    return _symmetry_cut(specials, n, 0, p)
 
 
 @_per_degree
@@ -428,17 +586,11 @@ def _hex_pairs(n: int, p: int | None = None) -> tuple:
     """Basis of the hex space, over GF(p) when ``p`` is given: the f
     satisfying special, 2-cycle and 3-cycle, before the 5-cycle cut.  The
     name is kept, though entries are no longer (f, u) pairs, because the
-    benchmark hooks it (``perfbench/spans.py``).  The f halves of
-    :func:`_special_pairs` are cut by the sparse 2-cycle first; on that
-    kernel tau f = -f, so the 3-cycle defect is f + sigma f - tau(sigma f)
-    (see :func:`_symmetry_images`), one dense substitution per word."""
-    d = len(_lyndon_tuples((1, 1), n))
-    elements = [from_coordinates(XY, n, v[:d]) for v in _special_pairs(n, p)]
-    for part in (0, 1):
-        cols = [_symmetry_rows(f, n, part) for f in elements]
-        elements = [LieElement(XY, f) for f in
-                    _combine(_column_kernel(cols, p), elements, p)]
-    return tuple(elements)
+    benchmark hooks it (``perfbench/spans.py``).  The 2-cycle kernel
+    (:func:`_two_cycle_kernel`) is cut by the 3-cycle; there tau f = -f,
+    so the 3-cycle defect is f + sigma f - tau(sigma f) (see
+    :func:`_sigma_images`), one dense substitution per word."""
+    return tuple(_symmetry_cut(_two_cycle_kernel(n, p), n, 1, p))
 
 
 def _combine(combos, elements, p=None) -> list[dict]:
@@ -456,19 +608,15 @@ def _combine(combos, elements, p=None) -> list[dict]:
 
 @_per_degree
 def _stable_pairs(n: int, p: int | None = None) -> tuple:
-    """D_n as (basis, rows, pivots, budget): its canonical basis, the same
+    """D_n as (basis, rows, pivots, route): its canonical basis, the same
     basis as reduced echelon rows keyed by Lyndon word with their pivot
-    words (see :func:`_cut`), and the fiber budget that decided the
-    5-cycle cut.
+    words (see :func:`_canonical_cut`), and what decided the cut: "stuffle"
+    or a fiber budget of the 5-cycle (see :func:`five_cycle_budget`).
     With a prime ``p`` every stage runs over GF(p) instead (see
     :func:`special_dim_mod`).  The name is kept, though no witnesses are
     carried, because the benchmark hooks it (``perfbench/spans.py``).
 
-    The cut is first made in a quotient of the fiber, the words of
-    a1-degree <= 1 and a2-degree <= k (see the notes above the 5-cycle
-    code and :func:`_budgets`).  The quotient map sends the full 5-cycle
-    sum to the quotient one, so its kernel K_q contains D_n.  Two theorems
-    bound dim D_n from below, in terms of lower degrees only:
+    Two theorems bound dim D_n from below, in terms of lower degrees only:
 
     * D is closed under the Ihara bracket (Ihara), so the span B_n of the
       brackets <f, g> of basis elements of degrees adding up to n lies in
@@ -479,13 +627,27 @@ def _stable_pairs(n: int, p: int | None = None) -> tuple:
 
     The bound, dim B_n + [n odd, n >= 3] from :func:`_lower_bound`, reads
     D_m for m < n only, and those are decided first: the argument is an
-    induction on the degree.  Where dim K_q meets the bound, K_q = D_n and
-    that budget decides.  Otherwise the next budget cuts: the a1-degree
-    <= 1 quotient alone, whose kernel lies inside the first one, and then
-    the full fiber, which needs no bound.
+    induction on the degree.  Any space K that contains D_n and has the
+    dimension of the bound is D_n.  The first such K tried is the
+    stuffle cut of the 2-cycle kernel (:func:`_stuffle_cut`), which
+    contains D_n by Furusho's theorem.  Where it misses, the hex space is
+    cut by the 5-cycle, first in a quotient of the fiber, the words of
+    a1-degree <= 1 and a2-degree <= k (see the notes above the 5-cycle
+    code and :func:`_budgets`).  The quotient map sends the full 5-cycle
+    sum to the quotient one, so its kernel K_q contains D_n, and where dim
+    K_q meets the bound that budget decides.  Otherwise the next budget
+    cuts: the a1-degree <= 1 quotient alone, whose kernel lies inside the
+    first one, and then the full fiber, which needs no bound.  Every
+    bracket of B_n must lie in the cut that decides (see
+    :func:`_check_brackets`).
     """
     if n < 2:
         return (), (), (), None
+    bound, brackets = _lower_bound(n)
+    cut = _stuffle_cut(n, bound, p)
+    if cut is not None:
+        _check_brackets(n, brackets, cut, "stuffle", p)
+        return (*cut, "stuffle")
     hexes = _hex_pairs(n, p)
     # The evaluator skips the base part, f + f(y, x); it must vanish here.
     # Only the 2-cycle defect is built: the 3-cycle images are dense.
@@ -495,9 +657,10 @@ def _stable_pairs(n: int, p: int | None = None) -> tuple:
             "symmetric element")
     for budget in _budgets(n):
         cut = _cut(n, hexes, budget, p)
+        _check_brackets(n, brackets, cut, "5-cycle", p)
         if budget is None:
             break
-        bound, dim_q = _lower_bound(n, cut, p), len(cut[0])
+        dim_q = len(cut[0])
         if bound > dim_q:
             raise AssertionError(
                 f"degree {n}: lower bound {bound} exceeds the dimension "
@@ -507,52 +670,72 @@ def _stable_pairs(n: int, p: int | None = None) -> tuple:
     return (*cut, budget)
 
 
-def _lower_bound(n: int, cut, p=None) -> int:
-    """dim B_n, plus 1 in odd degree n >= 3: a lower bound on dim D_n (see
-    :func:`_stable_pairs`), a rank over the rationals whatever ``p`` is.
-    Each bracket in B_n must lie in the quotient cut K_q, given as
-    :func:`_cut` returns it (rows keyed by Lyndon word and their pivot
-    words, over GF(p) for a prime ``p``), and have no x^(n-1) y term; a
-    bracket that does not is a bug, and raises AssertionError.  The
-    brackets are reduced, and their rank taken, as word-keyed rows."""
-    _, rows, pivots = cut
+def _lower_bound(n: int) -> tuple[int, list]:
+    """(bound, brackets): dim B_n, plus 1 in odd degree n >= 3, a lower
+    bound on dim D_n (see :func:`_stable_pairs`), a rank over the
+    rationals that reads the lower degrees alone; and the nonzero
+    brackets that span B_n, as (a, row) with a the degree of the left
+    operand and row the bracket as a primitive word-keyed row, for
+    :func:`_check_brackets`.  A bracket with an x^(n-1) y term is a bug,
+    and raises AssertionError."""
     depth1 = (0,) * (n - 1) + (1,)
-    span = []
+    brackets = []
     for a in range(1, n // 2 + 1):
         right = _stable_pairs(n - a)[0]
         for i, f in enumerate(_stable_pairs(a)[0]):
             for g in right[i + 1:] if 2 * a == n else right:
                 b = ihara_bracket(f, g, verify=False)
-                if (b.terms.get(depth1)
-                        or _reduce(_sparse(b.terms, p), rows, pivots, p)):
+                if b.terms.get(depth1):
                     raise AssertionError(
-                        f"bracket of degrees {a} and {n - a} lies outside "
-                        "the 5-cycle cut")
+                        f"bracket of degrees {a} and {n - a} has an "
+                        f"x^{n - 1} y term")
                 if b:
-                    span.append(_sparse(b.terms))
-    return len(_echelon(span)[1]) + (1 if n % 2 and n >= 3 else 0)
+                    brackets.append((a, _sparse(b.terms)))
+    rank = len(_echelon([dict(row) for _, row in brackets])[1])
+    return rank + (1 if n % 2 and n >= 3 else 0), brackets
+
+
+def _check_brackets(n: int, brackets, cut, route: str, p=None) -> None:
+    """Raise AssertionError, naming the ``route``, unless each bracket
+    from :func:`_lower_bound` lies in the cut, given as
+    :func:`_canonical_cut` returns it (over GF(p) for a prime ``p``): the
+    cut holds D_n, so a bracket outside it is a bug."""
+    _, rows, pivots = cut
+    for a, row in brackets:
+        if _reduce(_sparse(row, p), rows, pivots, p):
+            raise AssertionError(
+                f"bracket of degrees {a} and {n - a} lies outside the "
+                f"{route} cut")
 
 
 def five_cycle_route(n: int) -> str:
-    """Which route decided the 5-cycle cut in degree n >= 2.
+    """Which route decided D_n in degree n >= 2.
 
-    "bounds": the cut in a quotient of the fiber has the dimension of the
+    "stuffle": the linearized stuffle cut of the 2-cycle kernel met the
     lower bound from two theorems, closure of D under the Ihara bracket
     and a Soule element in each odd degree n >= 3, applied to the lower
-    degrees, which are decided first (induction on n); so the quotient cut
-    is D_n itself.  "full": the bound fell short in every quotient, and
-    the hex space was cut over the full fiber.  :func:`five_cycle_budget`
+    degrees, which are decided first (induction on n); no 5-cycle was
+    evaluated.  "bounds": the stuffle cut missed, and the 5-cycle cut in a
+    quotient of the fiber met the bound; so the quotient cut is D_n
+    itself.  "full": the bound fell short in every quotient too, and the
+    hex space was cut over the full fiber.  :func:`five_cycle_budget`
     says which quotient; see :func:`_stable_pairs`.
     """
-    return "full" if five_cycle_budget(n) is None else "bounds"
+    budget = five_cycle_budget(n)
+    if budget == "stuffle":
+        return "stuffle"
+    return "full" if budget is None else "bounds"
 
 
-def five_cycle_budget(n: int) -> tuple | None:
-    """The fiber budget that decided the 5-cycle cut in degree n >= 2:
-    (1, k) for the quotient by the fiber words of a1-degree > 1 or
-    a2-degree > k, (1, None) for the a1-degree quotient alone, None for
-    the full fiber.  The schedule tries (1, k) first, with k from
-    :func:`_budgets`, which decided every degree measured, 2 to 15."""
+def five_cycle_budget(n: int) -> tuple | str | None:
+    """What decided D_n in degree n >= 2: the string "stuffle" when the
+    stuffle cut did and no 5-cycle budget applies; otherwise the fiber
+    budget that decided the 5-cycle cut: (1, k) for the quotient by the
+    fiber words of a1-degree > 1 or a2-degree > k, (1, None) for the
+    a1-degree quotient alone, None for the full fiber.  The stuffle cut
+    decides every degree from 2 to 14.  Where it misses, the schedule
+    tries (1, k) first, with k from :func:`_budgets`, which decided every
+    degree measured, 2 to 15."""
     if n < 2:
         raise PreconditionError("degree must be >= 2")
     return _stable_pairs(n)[3]
@@ -615,7 +798,7 @@ def is_stable(f: LieElement, check_five_cycle: bool = True) -> bool:
     the special condition, read off the cached echelon rows of the
     degree-n special-pair kernel by :func:`special_witness`, the 2-cycle,
     and, where it holds, the 3-cycle as f + sigma f - tau(sigma f) (see
-    :func:`_symmetry_images`), each merging cached per-word images.
+    :func:`_sigma_images`), each merging cached per-word images.
     """
     if f.alphabet != XY:
         raise AlphabetMismatchError("the stable space lies in the x,y algebra")

@@ -401,6 +401,51 @@ def _sigma_tensor(w: Word) -> tuple[tuple[Word, int], ...]:
     return tuple(sorted(acc.items()))
 
 
+@functools.lru_cache(maxsize=None)
+def _lyndon_of_content(content: Word) -> tuple[tuple[Word, Word, Word], ...]:
+    """The Lyndon words of length >= 2 whose letters are the sorted tuple
+    ``content``, in lexicographic order, each as (w, a, b) with (a, b) its
+    standard factorization."""
+    words = _lyndon_tuples((1,) * (content[-1] + 1), len(content))
+    return tuple((w, *_std_factorization(w)) for w in words
+                 if tuple(sorted(w)) == content)
+
+
+def _tensor_coefficients(s: Word, memo: dict) -> dict:
+    """{l: (P_l | s)} over the Lyndon words l whose standard bracketing
+    P_l = sigma(l) has a nonzero coefficient on the word s in the tensor
+    algebra: a column of :func:`_sigma_tensor`, read off one word.
+
+    Only l <= s with the letter content of s take part, since sigma(l)
+    is l plus larger words (see :func:`_sigma_tensor`); for l = a b, its
+    standard factorization, (P_l | s) = (P_a | s')(P_b | s'') - (P_b | t')
+    (P_a | t''), with s = s' s'' split at |a| and s = t' t'' at |b|.  So
+    the coefficients on s come from those on its prefixes and suffixes,
+    and no word is expanded in full.  ``memo`` keeps every substring's
+    coefficients for as long as the caller keeps it; its values are
+    shared, not copied."""
+    got = memo.get(s)
+    if got is None:
+        if len(s) == 1:
+            got = {s: 1}
+        else:
+            pre = [None] + [_tensor_coefficients(s[:i], memo)
+                            for i in range(1, len(s))]
+            suf = [None] + [_tensor_coefficients(s[i:], memo)
+                            for i in range(1, len(s))]
+            got = {}
+            for w, a, b in _lyndon_of_content(tuple(sorted(s))):
+                if w > s:
+                    break
+                i, j = len(a), len(b)
+                c = (pre[i].get(a, 0) * suf[i].get(b, 0)
+                     - pre[j].get(b, 0) * suf[j].get(a, 0))
+                if c:
+                    got[w] = c
+        memo[s] = got
+    return got
+
+
 def expand_assoc(e: LieElement) -> AssocPoly:
     """Image of a Lie element under the embedding into the tensor algebra."""
     acc: dict[Word, object] = {}

@@ -14,6 +14,7 @@ algorithm on dense integer rows.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -123,6 +124,26 @@ def _reduce(v: dict, ech: Sequence[dict], pivots: Sequence[int],
         if c in v:
             v = _update(v, row, c, p)
     return v
+
+
+def _extend_echelon(ech: list[dict], pivots: list[int], v: dict,
+                    p: int | None = None) -> bool:
+    """Add the row v to the echelon rows ``ech`` with their ascending
+    ``pivots``, in place, when it raises their rank; return whether it
+    did.  The residual of v (see :func:`_reduce`) is inserted at its
+    leading column, made monic over GF(p), so the rows stay an echelon
+    form as :func:`_echelon` gives it.  ``v`` is consumed."""
+    r = _reduce(v, ech, pivots, p)
+    if not r:
+        return False
+    lead = min(r)
+    if p is not None and r[lead] != 1:
+        inv = pow(r[lead], -1, p)
+        r = {j: x * inv % p for j, x in r.items()}
+    i = bisect_left(pivots, lead)
+    ech.insert(i, r)
+    pivots.insert(i, lead)
+    return True
 
 
 def _echelon(rows: list[dict], p: int | None = None,
@@ -267,6 +288,20 @@ def _identity(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
+def _integer_rows(rows, caller: str) -> list[list[int]]:
+    """The rows as lists of ints.  An entry that is not an integer, such
+    as Fraction(1, 2), raises ValueError naming ``caller``; it is never
+    truncated."""
+    out = []
+    for r in rows:
+        row = [int(x) for x in r]
+        if any(type(y) is not int and Fraction(y) != x
+               for x, y in zip(row, r)):
+            raise ValueError(f"{caller} needs integer entries")
+        out.append(row)
+    return out
+
+
 def _mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     """The product a b, len(a) rows of as many entries as b has columns
     (none when b has no rows), also when a dimension is 0.  Zero entries
@@ -295,12 +330,7 @@ def smith_normal_form(m) -> SNFResult:
     scans and the check skip zero entries, which a tall lattice matrix
     and its U are mostly made of.
     """
-    orig = _dense_rows(m)
-    A = [[int(x) for x in row] for row in orig]
-    for row, o in zip(A, orig):
-        if any(type(y) is not int and Fraction(y) != x
-               for x, y in zip(row, o)):
-            raise ValueError("smith_normal_form needs integer entries")
+    A = _integer_rows(_dense_rows(m), "smith_normal_form")
     A0 = [row[:] for row in A]
     nr = len(A)
     nc = len(A[0]) if A else 0
@@ -395,8 +425,9 @@ def quotient_invariants(rows: Iterable[Sequence[int]],
     returns (free rank, torsion invariants > 1, smallest first).
 
     Zero rows and rows equal, up to sign, to an earlier row are dropped
-    before the Smith form; the span they leave is the same lattice."""
-    mat = [list(map(int, r)) for r in rows]
+    before the Smith form; the span they leave is the same lattice.  An
+    entry that is not an integer raises ValueError."""
+    mat = _integer_rows(rows, "quotient_invariants")
     for r in mat:
         if len(r) != ambient_rank:
             raise ValueError("row length disagrees with ambient rank")

@@ -1,6 +1,7 @@
 """The stable derivation space: dimensions, generators, bracket, congruence."""
 
 import functools
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -54,6 +55,23 @@ PRIMES = [23, 101, 997]
 A1_ONLY = (1, None)
 
 
+@pytest.fixture
+def force_five_cycle(monkeypatch):
+    """force(degrees=None) makes the stuffle cut miss in ``degrees``, or
+    in every degree, so that the 5-cycle route decides there.  The caches
+    are cleared then and after the test, so that no other test sees the
+    bases and routes built under the miss."""
+    stuffle = ihara._stuffle_cut
+
+    def force(degrees=None):
+        monkeypatch.setattr(ihara, "_stuffle_cut", lambda n, *args: (
+            None if degrees is None or n in degrees else stuffle(n, *args)))
+        ihara.clear_caches()
+
+    yield force
+    ihara.clear_caches()
+
+
 def test_stable_dims_through_10():
     for n, d in STABLE_DIMS.items():
         assert special_dim(n) == d
@@ -70,8 +88,12 @@ def test_stable_dims_11_12():
 
 
 @pytest.mark.slow
-def test_stable_dim_13():
+def test_stable_dim_13(force_five_cycle):
     assert special_dim(13) == 3
+    assert five_cycle_route(13) == five_cycle_budget(13) == "stuffle"
+    want = special_basis(13)
+    force_five_cycle({13})
+    assert special_basis(13) == want
     assert five_cycle_route(13) == "bounds"
     assert five_cycle_budget(13) == ihara._budgets(13)[0]
 
@@ -83,12 +105,14 @@ def _cold_bases(degrees):
     return {n: (special_basis(n), five_cycle_route(n)) for n in degrees}
 
 
-def _check_quotient_route_against_full(monkeypatch, degrees):
+def _check_quotient_route_against_full(monkeypatch, force_five_cycle,
+                                       degrees):
     try:
+        force_five_cycle()
         quotient = _cold_bases(degrees)
         # A bound of -1 is never met, so every degree is cut over the
         # full fiber, without the brackets of the lower degrees.
-        monkeypatch.setattr(ihara, "_lower_bound", lambda n, *_: -1)
+        monkeypatch.setattr(ihara, "_lower_bound", lambda n: (-1, []))
         full = _cold_bases(degrees)
         assert None in {cap for c in ihara._EVAL_CACHE for cap, _ in c}
     finally:
@@ -99,26 +123,123 @@ def _check_quotient_route_against_full(monkeypatch, degrees):
             == {n: b for n, (b, _) in full.items()})
 
 
-def test_quotient_route_matches_full_route(monkeypatch):
-    _check_quotient_route_against_full(monkeypatch, range(2, 11))
+def test_quotient_route_matches_full_route(monkeypatch, force_five_cycle):
+    _check_quotient_route_against_full(monkeypatch, force_five_cycle,
+                                       range(2, 11))
 
 
 @pytest.mark.slow
-def test_quotient_route_matches_full_route_11_12(monkeypatch):
-    _check_quotient_route_against_full(monkeypatch, (11, 12))
+def test_quotient_route_matches_full_route_11_12(monkeypatch,
+                                                 force_five_cycle):
+    _check_quotient_route_against_full(monkeypatch, force_five_cycle,
+                                       (11, 12))
 
 
 def test_short_bound_falls_back_to_full_route(monkeypatch):
+    # A bound one short in degree 9 is met by no cut that holds D_9: the
+    # stuffle cut and both quotients miss, and the full fiber decides.
     lower = ihara._lower_bound
     try:
         want = _cold_bases(range(2, 10))
-        monkeypatch.setattr(ihara, "_lower_bound", lambda n, *args:
-                            lower(n, *args) - (n == 9))
+        monkeypatch.setattr(ihara, "_lower_bound", lambda n: (
+            lower(n)[0] - (n == 9), lower(n)[1]))
         got = _cold_bases(range(2, 10))
     finally:
         ihara.clear_caches()
     assert got[9] == (want[9][0], "full")
     assert got == {**want, 9: got[9]}
+
+
+def _stuffle(u, v):
+    """The stuffle product of the compositions u and v as {composition:
+    multiplicity}: (a u') * (b v') = a (u' * v) + b (u * v') +
+    (a + b)(u' * v')."""
+    if not u or not v:
+        return {u + v: 1}
+    out = {}
+    for head, rest in ((u[0], _stuffle(u[1:], v)), (v[0], _stuffle(u, v[1:])),
+                       (u[0] + v[0], _stuffle(u[1:], v[1:]))):
+        for w, c in rest.items():
+            out[(head, *w)] = out.get((head, *w), 0) + c
+    return out
+
+
+def _reference_stuffle_row(a, v):
+    """The coefficient of y_a * v in f_* as {word over x, y: coefficient},
+    from the stuffle product itself: with x = e0 and y = -e1, the word of a
+    composition of depth k is read with the sign (-1)^k."""
+    row = {}
+    for comp, m in _stuffle((a,), v).items():
+        w = tuple(c for part in comp for c in (0,) * (part - 1) + (1,))
+        row[w] = row.get(w, 0) + (-1) ** len(comp) * m
+    return row
+
+
+def _check_stuffle_rows(degrees):
+    """Every basis element of D_n satisfies every single-letter stuffle
+    row of depth < n, read off its tensor expansion."""
+    for n in degrees:
+        keys = list(ihara._stuffle_keys(n))
+        # all pairs (a, v) with v a composition of n - a, but (1, 1^(n-1))
+        assert len(set(keys)) == len(keys) == 2 ** (n - 1) - 2
+        assert (1, (1,) * (n - 1)) not in keys
+        rows = [ihara._stuffle_row(a, v) for a, v in keys]
+        assert rows == [_reference_stuffle_row(a, v) for a, v in keys]
+        for f in special_basis(n):
+            tensor = expand_assoc(f).terms
+            for key, row in zip(keys, rows):
+                assert not sum(c * tensor.get(w, 0)
+                               for w, c in row.items()), (n, key)
+
+
+def test_basis_satisfies_stuffle_rows():
+    _check_stuffle_rows(range(2, 11))
+    # the sign of y matters: with y = e1 instead, D_3 fails the row (1, 2)
+    tensor = expand_assoc(special_basis(3)[0]).terms
+    assert sum(m * tensor[tuple(c for part in comp
+                                for c in (0,) * (part - 1) + (1,))]
+               for comp, m in _stuffle((1,), (2,)).items())
+    assert {five_cycle_route(n) for n in range(2, 11)} == {"stuffle"}
+    assert {five_cycle_budget(n) for n in range(2, 11)} == {"stuffle"}
+
+
+@pytest.mark.slow
+def test_basis_satisfies_stuffle_rows_11_13():
+    _check_stuffle_rows(range(11, 14))
+
+
+def test_stuffle_miss_falls_back_to_five_cycle(monkeypatch):
+    # One row is too few wherever the 2-cycle kernel needs more than one
+    # cut, from degree 7 on; there the 5-cycle route decides, and must
+    # give the same bases.
+    want = {n: special_basis(n) for n in range(2, 11)}
+    keys = ihara._stuffle_keys
+    monkeypatch.setattr(ihara, "_stuffle_keys",
+                        lambda n: itertools.islice(keys(n), 1))
+    try:
+        got = _cold_bases(range(2, 11))
+    finally:
+        ihara.clear_caches()
+    assert {n: b for n, (b, _) in got.items()} == want
+    assert {n: r for n, (_, r) in got.items()} == {
+        **{n: "stuffle" for n in range(2, 7)},
+        **{n: "bounds" for n in range(7, 11)}}
+
+
+@pytest.mark.slow
+def test_stuffle_route_matches_five_cycle_route_through_13(force_five_cycle):
+    # the second route at the height of the first, over Q and mod p
+    keys = [(n, p) for n in range(2, 14) for p in (None, 2 ** 31 - 1)]
+    ihara.clear_caches()
+    stuffle = {k: ihara._stable_pairs(*k) for k in keys}
+    force_five_cycle()
+    five = {k: ihara._stable_pairs(*k) for k in keys}
+    assert {k: r[3] for k, r in stuffle.items()} == dict.fromkeys(
+        keys, "stuffle")
+    assert {k: r[3] for k, r in five.items()} == {
+        (n, p): ihara._budgets(n)[0] for n, p in keys}
+    assert ({k: r[1:3] for k, r in stuffle.items()}
+            == {k: r[1:3] for k, r in five.items()})
 
 
 def test_first_budget_is_the_least_cap_that_meets_the_bound():
@@ -148,9 +269,9 @@ def _cached_fibers():
             yield cap, fiber
 
 
-def test_graded_caches_are_consistent():
-    ihara.clear_caches()
+def test_graded_caches_are_consistent(force_five_cycle):
     try:
+        force_five_cycle()
         for n in range(2, 10):
             special_basis(n)
         _pentagon_rows(7, [f.terms for f in _hex_pairs(7)], None)
@@ -167,14 +288,15 @@ def test_graded_caches_are_consistent():
     assert caps == {None, ihara._budgets(9)[0]}
 
 
-def test_missed_budget_falls_back_to_a1_quotient(monkeypatch):
+def test_missed_budget_falls_back_to_a1_quotient(monkeypatch,
+                                                 force_five_cycle):
     # With a2 <= 2 the quotient cut misses the bound in degree 10 (dim 2
     # against 1), and the a1-degree quotient alone decides it.
     want = {n: special_basis(n) for n in range(2, 11)}
     monkeypatch.setattr(ihara, "_budgets",
                         lambda n: ((1, 2), A1_ONLY, None))
     try:
-        ihara.clear_caches()
+        force_five_cycle()
         got = {n: (special_basis(n), five_cycle_budget(n))
                for n in range(2, 11)}
         assert five_cycle_route(10) == "bounds"
@@ -187,12 +309,13 @@ def test_missed_budget_falls_back_to_a1_quotient(monkeypatch):
 
 
 @pytest.mark.slow
-def test_scheduled_cut_matches_a1_cut_11_13(monkeypatch):
+def test_scheduled_cut_matches_a1_cut_11_13(monkeypatch, force_five_cycle):
     # a second route at the height of the first: the cut in the a1-degree
     # quotient alone, which the schedule tries only after a miss
     degrees = range(2, 14)
     first = {n: ihara._budgets(n)[0] for n in degrees}
     try:
+        force_five_cycle()
         scheduled = {n: (special_basis(n), five_cycle_budget(n))
                      for n in degrees}
         monkeypatch.setattr(ihara, "_budgets", lambda n: (A1_ONLY, None))
@@ -207,7 +330,7 @@ def test_scheduled_cut_matches_a1_cut_11_13(monkeypatch):
             == {n: b for n, (b, _) in a1_only.items()})
 
 
-def test_bracket_outside_cut_is_a_bug(monkeypatch):
+def test_bracket_outside_cut_is_a_bug(monkeypatch, force_five_cycle):
     # D_10 is spanned by <s3, s7>; a hex element outside it in its place
     # must fail the exactness guard as a bug, not as a precondition.
     (f,) = special_basis(10)
@@ -219,27 +342,36 @@ def test_bracket_outside_cut_is_a_bug(monkeypatch):
         outside if f.homogeneous_degree() + g.homogeneous_degree() == 10
         else bracket_of(f, g, **kw)))
     try:
-        ihara.clear_caches()
-        with pytest.raises(AssertionError, match="outside the 5-cycle cut"):
-            special_dim(10)
-        ihara.clear_caches()
-        with pytest.raises(AssertionError):
-            run(["ihara", "basis", "--degree", "10"])
+        for route in ("stuffle", "5-cycle"):
+            if route == "5-cycle":
+                force_five_cycle()
+            ihara.clear_caches()
+            with pytest.raises(AssertionError,
+                               match=f"outside the {route} cut"):
+                special_dim(10)
+            ihara.clear_caches()
+            with pytest.raises(AssertionError):
+                run(["ihara", "basis", "--degree", "10"])
     finally:
         ihara.clear_caches()
 
 
-def test_modular_dims_match_rational():
-    for n in range(2, 10):
-        for p in PRIMES + [2 ** 31 - 1]:
-            assert special_dim_mod(n, p) == special_dim(n)
-            # the cut mod p is the canonical basis of D_n reduced mod p
-            _, rows, pivots, budget = ihara._stable_pairs(n, p)
-            terms = [_sparse(f.terms, p) for f in special_basis(n)]
-            assert (list(rows), list(pivots)) == _echelon(
-                terms, p, reduced=True)
-            assert all(0 <= c < p for row in rows for c in row.values())
-            assert budget == ihara._budgets(n)[0]
+def test_modular_dims_match_rational(force_five_cycle):
+    want = {n: special_basis(n) for n in range(2, 10)}
+    for route in ("stuffle", "5-cycle"):
+        if route == "5-cycle":
+            force_five_cycle()
+        for n in range(2, 10):
+            for p in PRIMES + [2 ** 31 - 1]:
+                assert special_dim_mod(n, p) == len(want[n])
+                # the cut mod p is the canonical basis of D_n reduced mod p
+                _, rows, pivots, budget = ihara._stable_pairs(n, p)
+                terms = [_sparse(f.terms, p) for f in want[n]]
+                assert (list(rows), list(pivots)) == _echelon(
+                    terms, p, reduced=True)
+                assert all(0 <= c < p for row in rows for c in row.values())
+                assert budget == ("stuffle" if route == "stuffle"
+                                  else ihara._budgets(n)[0])
 
 
 @pytest.mark.slow
@@ -258,12 +390,14 @@ def test_modular_dims_10_12():
 def test_modular_dim_13():
     p = 2 ** 31 - 1
     assert special_dim_mod(13, p) == special_dim(13) == 3
-    assert ihara._stable_pairs(13, p)[3] == five_cycle_budget(13)
+    assert ihara._stable_pairs(13, p)[3] == five_cycle_budget(13) == "stuffle"
 
 
 def test_modular_miss_falls_back_to_a1_quotient():
-    # Over GF(2) the first budget misses the bound in degree 9 (dim 3
-    # against 1), and the a1-degree quotient alone decides it.
+    # Over GF(2) the stuffle cut misses the bound in degree 9, so does the
+    # first budget (dim 3 against 1), and the a1-degree quotient alone
+    # decides it.
+    assert ihara._stuffle_cut(9, 1, 2) is None
     assert ihara._budgets(9)[0] == (1, 2)
     assert len(ihara._cut(9, _hex_pairs(9, 2), (1, 2), 2)[0]) == 3
     assert special_dim_mod(9, 2) == 1
@@ -274,7 +408,7 @@ def test_modular_short_bound_falls_back_to_full_route(monkeypatch):
     # A bound of -1 is never met, so the modular route cuts every degree
     # over the full fiber mod p, and must still agree.
     want = {n: special_dim(n) for n in range(2, 9)}
-    monkeypatch.setattr(ihara, "_lower_bound", lambda n, *_: -1)
+    monkeypatch.setattr(ihara, "_lower_bound", lambda n: (-1, []))
     try:
         ihara.clear_caches()
         for n in range(2, 9):
@@ -477,10 +611,11 @@ def test_special_pairs_satisfy_the_special_condition():
                            (bracket(Y, f) - bracket(z, u)).terms.values())
 
 
-def test_per_degree_caches_key_on_degree_and_prime():
+def test_per_degree_caches_key_on_degree_and_prime(force_five_cycle):
     # stage(n) and stage(n, None) are one entry: the witness reads the
     # kernel the stable build made, and _hex_pairs(n) the cached hex space
-    ihara.clear_caches()
+    # that the 5-cycle route built
+    force_five_cycle()
     for n in range(2, 11):
         special_basis(n)
     assert ihara._special_pairs.cache_info()[:2] == (0, 9)
@@ -947,9 +1082,10 @@ def test_freeness_table_through_12():
     assert [r["computed"] for r in rows if r["degree"] >= 11] == [2, 2]
 
 
-def test_clear_caches_rebuilds_identical_bases():
-    # start cold: earlier tests leave the caches of other budgets behind
-    ihara.clear_caches()
+def test_clear_caches_rebuilds_identical_bases(force_five_cycle):
+    # start cold: earlier tests leave the caches of other budgets behind;
+    # the 5-cycle route decides every degree, so that its caches fill
+    force_five_cycle()
     before = {n: special_basis(n) for n in range(2, 10)}
     first = {ihara._budgets(n)[0] for n in range(2, 10)}
     # fill the full-fiber caches too, next to the quotient ones
@@ -962,12 +1098,12 @@ def test_clear_caches_rebuilds_identical_bases():
     ihara.clear_caches()
     assert not any(ihara._EVAL_CACHE) and not ihara._ACT_ON_WORD
     assert not ihara._ACT_IM
-    # every lru_cache of the module, so that a new one is not missed: five
+    # every lru_cache of the module, so that a new one is not missed: six
     # per-degree caches, the per-operand derivations and verdicts of
     # ihara_bracket, and its brackets per pair of operands
     cached = [f for f in vars(ihara).values() if hasattr(f, "cache_info")
               and f.__module__ == ihara.__name__]
-    assert len(cached) == 8
+    assert len(cached) == 9
     assert all(f.cache_info().currsize == 0 for f in cached)
     assert ihara._operand_derivation.cache_info().currsize == 0
     assert {n: special_basis(n) for n in range(2, 10)} == before

@@ -21,8 +21,8 @@ from grtlab import (
     smith_normal_form,
 )
 from grtlab import ihara, malcev
-from grtlab.linalg import (_column_kernel, _echelon, _kernel_of_echelon,
-                           _rows_of, _sparse)
+from grtlab.linalg import (_column_kernel, _echelon, _extend_echelon,
+                           _kernel_of_echelon, _rows_of, _sparse)
 from grtlab.words import _lyndon_tuples
 
 from conftest import (random_int_matrix, stacked_special_dense,
@@ -351,7 +351,8 @@ def test_kernel_read_off_leaves_cached_echelon_alone():
         cached = [dict(row) for row in rows], list(piv)
         for f in [*ihara._hex_pairs(n), *ihara.special_basis(n)]:
             ihara.is_stable(f)
-        ihara._lower_bound(n, ((), rows, piv))
+        ihara._check_brackets(n, ihara._lower_bound(n)[1], ((), rows, piv),
+                              "stuffle")
         assert ([dict(row) for row in rows], list(piv)) == cached
 
 
@@ -448,6 +449,20 @@ def test_eliminator_matches_dense_reference():
                 len(_echelon_int(m + [v])[0]) == len(ech))
         _check_column_kernel(m, [{i: row[j] for i, row in enumerate(m)
                                   if row[j]} for j in range(ncols)])
+        # row by row, _extend_echelon keeps exactly the rows that raise
+        # the rank (checked on every prefix of the small matrices), and
+        # ends on the pivots of the whole matrix
+        for p in (None, 3, 101):
+            grown, piv = [], []
+            kept = [_extend_echelon(grown, piv, _sparse(row, p), p)
+                    for row in m]
+            assert piv == (pivots if p is None
+                           else _echelon(_rows_of(m, p)[0], p)[1])
+            if len(m) <= 12:
+                ranks = [len(_echelon_int(m[:i])[0]) if p is None
+                         else _reference_rank_mod(m[:i], p)
+                         for i in range(len(m) + 1)]
+                assert kept == [b > a for a, b in zip(ranks, ranks[1:])]
     # tuple row keys and an empty column
     m = _rank_deficient(random.Random(312), 6, 5, 3)
     for row in m:
@@ -523,6 +538,15 @@ def test_smith_normal_form_factorization():
 def test_smith_rejects_fractions():
     with pytest.raises(ValueError):
         smith_normal_form([[Fraction(1, 2)]])
+
+
+def test_quotient_invariants_rejects_fractions():
+    # a non-integer entry raises, as in the Smith form, and is never
+    # truncated to an integer; integral Fractions and floats are integers
+    for rows in ([[Fraction(1, 2)]], [[2, Fraction(-3, 2)]], [[0.5, 1]]):
+        with pytest.raises(ValueError, match="integer entries"):
+            quotient_invariants(rows, len(rows[0]))
+    assert quotient_invariants([[Fraction(4, 2), 2.0]], 2) == (1, [2])
 
 
 def _free_level(k, m, ordered_pairs_only):
