@@ -60,14 +60,16 @@ Z = LieElement(XY, {(0,): -1, (1,): -1})
 #: Default cap on the degree of stable-space computations offered by the
 #: command line.  On a 2-core VM (Python 3.11) a cold ``ihara freeness
 #: --max-degree N``, timed as a child process, takes 0.14-0.2 s at a peak
-#: RSS of 18 MiB for N = 10 and 0.31-0.33 s at 21 MiB for N = 12.
+#: RSS of 18 MiB for N = 10 and 0.31-0.33 s at 21 MiB for N = 12.  Each
+#: degree above costs several times the one before (see HARD_MAX_DEGREE),
+#: so the command line builds those only when asked.
 DEFAULT_MAX_DEGREE = 12
 #: Highest degree the command line accepts.  On the same VM N = 13 takes
-#: 1.2-1.4 s at 29 MiB and N = 14 takes 2.2-3.4 s at 49 MiB; the stuffle
-#: cut decides every degree.  Through degree 15, run in a child process as
-#: ``freeness_table(15)``, it took 19-22 s at 139 MiB, against 117 s at
-#: 831 MiB for the 5-cycle route (BENCH_stuffle-cut.json).
-HARD_MAX_DEGREE = 14
+#: 1.2-1.4 s at 29 MiB, N = 14 takes 2.2-3.4 s at 49 MiB and N = 15
+#: takes 23-26 s at 140 MiB, as does ``ihara basis --degree 15`` (22-26 s,
+#: three runs each); the stuffle cut decides every degree.  The 5-cycle
+#: route took 117 s at 831 MiB through degree 15 (BENCH_stuffle-cut.json).
+HARD_MAX_DEGREE = 15
 
 
 # ---------------------------------------------------------------------
@@ -434,26 +436,35 @@ def _stuffle_cut(n: int, bound: int, p: int | None = None):
 #
 # Everything that depends on the degree n (and the prime) alone is cached
 # once, so that queries reuse it: is_stable reduces against the echelon
-# rows of D_n, and special_witness and the operand check of the verified
-# bracket read the special-pair kernel, as reduced echelon rows, and the
-# tau and sigma images of each Lyndon word.  The stuffle cut reads the tau
-# images alone; the sigma images are built on the first 3-cycle check of
-# a degree.  The hex basis of the fallback route is cached too.
+# rows of D_n, and special_witness and the cheap is_stable read the
+# special-pair kernel, as reduced echelon rows, and the tau and sigma
+# images of each Lyndon word.  The stuffle cut reads the tau images alone;
+# the sigma images are built on the first 3-cycle check of a degree.  The
+# hex basis of the fallback route is cached too.  The operand check of the
+# verified bracket first reads the rows of a rational D_n already built,
+# from _STABLE_ROWS: a plain dict rather than the cache of _stable_pairs,
+# whose name a caller may rebind to a wrapper without cache attributes.
 # ---------------------------------------------------------------------
+
+#: Degree -> (rows, pivots) of each rational D_n that _stable_pairs has
+#: decided, as :func:`_canonical_cut` gives them; never a D_n mod p.
+_STABLE_ROWS: dict = {}
+
 
 def clear_caches() -> None:
     """Drop the stable-space caches: per-degree matrices, kernels, echelon
     rows and bases; under every fiber budget, 5-cycle evaluations of words
     and the action of base words on fiber letters and words; and what
-    :func:`ihara_bracket` keeps: the derivations and verdicts per operand
-    and the brackets per pair of operands.  Later calls rebuild them,
-    with identical results."""
+    :func:`ihara_bracket` keeps: the derivations and verdicts per operand,
+    the brackets per pair of operands and the rows of each D_n built that
+    its operand check reads.  Later calls rebuild them, with identical
+    results."""
     for cached in (_special_pairs, _witness_rows, _tau_images,
                    _sigma_images, _hex_pairs, _stable_pairs,
                    _operand_derivation, _operand_is_stable,
                    _primitive_bracket):
         cached.cache_clear()
-    for cache in (*_EVAL_CACHE, _ACT_ON_WORD, _ACT_IM):
+    for cache in (*_EVAL_CACHE, _ACT_ON_WORD, _ACT_IM, _STABLE_ROWS):
         cache.clear()
 
 
@@ -647,7 +658,7 @@ def _stable_pairs(n: int, p: int | None = None) -> tuple:
     cut = _stuffle_cut(n, bound, p)
     if cut is not None:
         _check_brackets(n, brackets, cut, "stuffle", p)
-        return (*cut, "stuffle")
+        return _decided(n, cut, "stuffle", p)
     hexes = _hex_pairs(n, p)
     # The evaluator skips the base part, f + f(y, x); it must vanish here.
     # Only the 2-cycle defect is built: the 3-cycle images are dense.
@@ -667,7 +678,16 @@ def _stable_pairs(n: int, p: int | None = None) -> tuple:
                 f"{dim_q} of the quotient cut under budget {budget}")
         if bound == dim_q:
             break
-    return (*cut, budget)
+    return _decided(n, cut, budget, p)
+
+
+def _decided(n: int, cut, route, p=None) -> tuple:
+    """The result of :func:`_stable_pairs` for the cut that decided D_n
+    and its route; a rational cut's rows and pivots are also kept in
+    ``_STABLE_ROWS`` for :func:`_operand_is_stable`."""
+    if p is None:
+        _STABLE_ROWS[n] = cut[1:]
+    return (*cut, route)
 
 
 def _lower_bound(n: int) -> tuple[int, list]:
@@ -733,7 +753,7 @@ def five_cycle_budget(n: int) -> tuple | str | None:
     budget that decided the 5-cycle cut: (1, k) for the quotient by the
     fiber words of a1-degree > 1 or a2-degree > k, (1, None) for the
     a1-degree quotient alone, None for the full fiber.  The stuffle cut
-    decides every degree from 2 to 14.  Where it misses, the schedule
+    decides every degree from 2 to 15.  Where it misses, the schedule
     tries (1, k) first, with k from :func:`_budgets`, which decided every
     degree measured, 2 to 15."""
     if n < 2:
@@ -885,7 +905,15 @@ def _operand_derivation(p: LieElement) -> Derivation:
 @functools.lru_cache(maxsize=64)
 def _operand_is_stable(p: LieElement) -> bool:
     """The cheap stable-space conditions on the operand p, kept per
-    primitive operand like :func:`_operand_derivation`."""
+    primitive operand like :func:`_operand_derivation`.  When a rational
+    D_n of the degree of p is already built (``_STABLE_ROWS``; none is
+    built here), p reduced to zero against its echelon rows passes: D_n
+    satisfies the special, 2-cycle and 3-cycle conditions.  Otherwise the
+    cheap :func:`is_stable` decides, and raises as it does."""
+    if p.alphabet == XY:
+        built = _STABLE_ROWS.get(p.homogeneous_degree())
+        if built is not None and not _reduce(_sparse(p.terms), *built):
+            return True
     return is_stable(p, check_five_cycle=False)
 
 
@@ -893,9 +921,11 @@ def _operand_is_stable(p: LieElement) -> bool:
 def _primitive_bracket(p: LieElement, q: LieElement) -> LieElement:
     """<p, q> for primitive operands p, q (see :func:`_split_operand`),
     kept for later brackets of any multiples of them; callers hand out
-    scaled copies only."""
-    return (_operand_derivation(p)(q) - _operand_derivation(q)(p)
-            + bracket(p, q))
+    scaled copies only.  D_p(q) - D_q(p) + [p, q] is summed in the terms
+    of D_p(q), which no one else holds."""
+    acc = _operand_derivation(p)(q).terms
+    _merge_scaled(acc, _operand_derivation(q)(p).terms, -1)
+    return LieElement._of(XY, _bracket_into(acc, p.terms, q.terms))
 
 
 def _split_operand(f: LieElement) -> tuple:
@@ -929,7 +959,10 @@ def ihara_bracket(f: LieElement, g: LieElement,
     With ``verify`` set, both arguments are checked against the cheap
     necessary conditions (special with witness, 2-cycle, 3-cycle); the
     5-cycle condition is not re-derived here because the stable space is
-    closed under this bracket.
+    closed under this bracket.  An operand that lies in a rational D_n
+    already built passes by reduction against its echelon rows, with no
+    witness and no sigma images; no D_n is built for the check, and any
+    other operand takes the cheap check (see :func:`_operand_is_stable`).
 
     Each operand is split as c p with p primitive integral (see
     :func:`_split_operand`), and <f, g> is c_f c_g <p_f, p_g>.  The

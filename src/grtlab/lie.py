@@ -7,7 +7,8 @@ factorization w = u v.  Brackets of basis elements are rewritten back into
 the basis by the classical Lyndon rewriting process, with integer structure
 constants, and never touch the tensor algebra.  Every bracket in the
 package, of elements here or of raw {word: coefficient} dicts in
-``derivations`` and ``ihara``, runs through one loop, :func:`_bracket_into`.
+``derivations`` and ``ihara``, runs through one loop, :func:`_bracket_into`,
+over the memoized brackets of basis words, :func:`_basis_bracket`.
 
 The tensor algebra route (:func:`expand_assoc` / :func:`project_lyndon`)
 is implemented independently on purpose: the two routes cross-check each
@@ -18,6 +19,7 @@ algebra inside the tensor algebra.
 from __future__ import annotations
 
 import functools
+import itertools
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
@@ -198,12 +200,30 @@ def _basis_bracket(u: Word, v: Word) -> tuple[tuple[Word, int], ...]:
     [[a,b],v] = [a,[b,v]] + [[a,v],b] pushes the computation to brackets
     of lower total degree plus pairs with shorter left factors (a < u <
     v and b < v); the process terminates and produces integer constants.
+    The two memoized sub-results are read term by term, each term w
+    bracketed with a or b as the ordered pair it forms, and equal words
+    skipped.
     """
     if len(u) > 1:
         a, b = _std_factorization(u)
         if b < v:
-            acc = _bracket_into({}, {a: 1}, dict(_basis_bracket(b, v)))
-            _bracket_into(acc, dict(_basis_bracket(a, v)), {b: 1})
+            acc: dict[Word, int] = {}
+            get = acc.get
+            for s, t, n in itertools.chain(
+                    ((a, w, n) for w, n in _basis_bracket(b, v)),
+                    ((w, b, n) for w, n in _basis_bracket(a, v))):
+                if s < t:
+                    terms = _basis_bracket(s, t)
+                elif t < s:
+                    terms, n = _basis_bracket(t, s), -n
+                else:
+                    continue
+                for w, m in terms:
+                    new = get(w, 0) + n * m
+                    if new:
+                        acc[w] = new
+                    else:
+                        del acc[w]
             return tuple(sorted(acc.items()))
     return ((u + v, 1),)
 

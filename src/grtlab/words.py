@@ -162,6 +162,17 @@ class LyndonWord:
         self.letters: Word = letters
         self.degree: int = alphabet.word_degree(letters)
 
+    @classmethod
+    def _trusted(cls, alphabet: GradedAlphabet, letters: Word) -> "LyndonWord":
+        """An instance for a letter tuple already known to be a Lyndon
+        word over ``alphabet``, without the constructor's checks: for the
+        words this module generates or factors."""
+        w = cls.__new__(cls)
+        w.alphabet = alphabet
+        w.letters = letters
+        w.degree = alphabet.word_degree(letters)
+        return w
+
     def __eq__(self, other) -> bool:
         return (isinstance(other, LyndonWord)
                 and self.alphabet == other.alphabet
@@ -190,7 +201,7 @@ def lyndon_words(alphabet: GradedAlphabet, degree: int) -> list[LyndonWord]:
     """Lyndon words of the given total degree, lexicographically sorted."""
     if degree < 1:
         return []
-    return [LyndonWord(alphabet, w)
+    return [LyndonWord._trusted(alphabet, w)
             for w in _lyndon_tuples(alphabet.degrees, degree)]
 
 
@@ -212,7 +223,8 @@ def standard_factorization(w: LyndonWord) -> tuple[LyndonWord, LyndonWord]:
         raise AtomicWordError(
             f"single letter {w} has no standard factorization")
     u, v = _std_factorization(w.letters)
-    return LyndonWord(w.alphabet, u), LyndonWord(w.alphabet, v)
+    return (LyndonWord._trusted(w.alphabet, u),
+            LyndonWord._trusted(w.alphabet, v))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Shared builders for seeded random test data, and a second route for
-the hex space of the stable-space pipeline.
+"""Shared builders for seeded random test data, a reference for the
+Lyndon-basis structure constants, and a second route for the hex space of
+the stable-space pipeline.
 
 Every property test draws from an explicit random.Random(seed) so a
 failure reproduces from the seed alone; nothing here touches global
@@ -15,7 +16,7 @@ from grtlab.derivations import X, Y
 from grtlab.lie import (LieElement, _merge_scaled, _word_images,
                         from_coordinates)
 from grtlab.linalg import _column_kernel
-from grtlab.words import GradedAlphabet, _lyndon_tuples
+from grtlab.words import GradedAlphabet, _lyndon_tuples, _std_factorization
 
 XY = GradedAlphabet("x y")
 XYZ = GradedAlphabet("x y z")
@@ -52,6 +53,44 @@ def random_element(alphabet, max_degree, rng, rational=False):
 def random_int_matrix(rng, rows, cols, bound=9):
     return [[rng.randint(-bound, bound) for _ in range(cols)]
             for _ in range(rows)]
+
+
+# ---------------------------------------------------------------------------
+# The structure constants [sigma(u), sigma(v)] for Lyndon words u < v by the
+# dict-based Jacobi step: each sub-result copied into a dict and bracketed
+# with a or b through a generic bilinear loop.  It keeps its own memo and
+# shares only the standard factorization and _merge_scaled with the
+# package.
+
+
+@functools.lru_cache(maxsize=None)
+def reference_basis_bracket(u, v):
+    """[sigma(u), sigma(v)] for Lyndon words u < v as a sorted tuple of
+    (word, integer coefficient) pairs: sigma(uv) when (u, v) is the
+    standard factorization of uv, else [a, [b, v]] + [[a, v], b] for
+    u = a b."""
+    if len(u) > 1:
+        a, b = _std_factorization(u)
+        if b < v:
+            acc = _reference_bracket_into({}, {a: 1},
+                                          dict(reference_basis_bracket(b, v)))
+            _reference_bracket_into(acc, dict(reference_basis_bracket(a, v)),
+                                    {b: 1})
+            return tuple(sorted(acc.items()))
+    return ((u + v, 1),)
+
+
+def _reference_bracket_into(acc, t1, t2):
+    """acc += [t1, t2] on {Lyndon word: coefficient} dicts."""
+    for u, cu in t1.items():
+        for v, cv in t2.items():
+            if u < v:
+                _merge_scaled(acc, dict(reference_basis_bracket(u, v)),
+                              cu * cv)
+            elif v < u:
+                _merge_scaled(acc, dict(reference_basis_bracket(v, u)),
+                              -cu * cv)
+    return acc
 
 
 # ---------------------------------------------------------------------------

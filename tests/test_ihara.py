@@ -822,23 +822,101 @@ SCALES = [1, -1, 3, -2, Fraction(1, 2), Fraction(-3, 4)]
 def test_ihara_bracket_verifies_each_primitive_operand_once(monkeypatch):
     s3, s5 = soule_generator(3), soule_generator(5)
     bad = bracket(X, Y)
-    checked = []
+    verdicts = ihara._operand_is_stable
     check = ihara.is_stable
-    monkeypatch.setattr(ihara, "is_stable", lambda f, **kw: (
-        checked.append(f) or check(f, **kw)))
+    for cold in (True, False):
+        checked = []
+        monkeypatch.setattr(ihara, "is_stable", lambda f, **kw: (
+            checked.append(f) or check(f, **kw)))
+        ihara.clear_caches()
+        if not cold:
+            special_basis(5)
+        try:
+            for s in SCALES:
+                assert (ihara_bracket(s3.scale(s), s5.scale(-s))
+                        == ihara_bracket(s3, s5).scale(-s * s))
+                with pytest.raises(SpecialConditionError,
+                                   match="left operand"):
+                    ihara_bracket(bad.scale(s), s3)
+                with pytest.raises(SpecialConditionError,
+                                   match="right operand"):
+                    ihara_bracket(s5, bad.scale(s))
+            # one verdict per primitive operand, whatever the scale
+            info = verdicts.cache_info()
+            assert (info.misses, info.currsize) == (3, 3)
+        finally:
+            ihara.clear_caches()
+        # cold, each operand takes the cheap check; with D_3 and D_5
+        # built, s3 and s5 pass by their echelon rows, and D_2 = 0 sends
+        # bad on to the cheap check
+        assert checked == ([s3, s5, bad] if cold else [bad])
+
+
+def _count_calls(monkeypatch, name):
+    """Calls of ihara.<name> from now on, as a list of their first
+    arguments."""
+    calls = []
+    fn = getattr(ihara, name)
+    monkeypatch.setattr(ihara, name, lambda f, *args, **kw: (
+        calls.append(f) or fn(f, *args, **kw)))
+    return calls
+
+
+def test_verified_operands_read_the_built_stable_space(monkeypatch):
+    # Under a plain wrapper of _stable_pairs, as a tracer installs, the
+    # operand check still finds the D_n built through it.
+    pairs = ihara._stable_pairs
+    ihara.clear_caches()
+    monkeypatch.setattr(ihara, "_stable_pairs", lambda *args: pairs(*args))
+    try:
+        b3, b9 = special_basis(3)[0], special_basis(9)[0]
+        witnesses = _count_calls(monkeypatch, "special_witness")
+        assert ihara._sigma_images.cache_info().currsize == 0
+        got = ihara_bracket(b3.scale(2), b9.scale(Fraction(-1, 3)))
+        assert got == _reference_bracket(b3, b9).scale(Fraction(-2, 3))
+        # neither the witness nor any sigma image was needed
+        assert witnesses == []
+        assert ihara._sigma_images.cache_info().currsize == 0
+        assert ihara._operand_is_stable.cache_info().misses == 2
+        # a hex element outside D_9 still passes, by the cheap check
+        rows = [[int(c) for c in b9.coordinates(9)]]
+        outside = next(h for h in _hex_pairs(9)
+                       if not in_row_space(rows, h.coordinates(9)))
+        assert ihara_bracket(b3, outside, verify=True)
+        assert len(witnesses) == 1
+        # and an operand that fails the conditions is still rejected
+        word = next(w for w in _lyndon_tuples((1, 1), 9)
+                    if w.count(0) != w.count(1))
+        with pytest.raises(SpecialConditionError, match="right operand"):
+            ihara_bracket(b3, b9 + LieElement(XY, {word: 1}))
+        assert len(witnesses) == 2
+    finally:
+        monkeypatch.setattr(ihara, "_stable_pairs", pairs)
+        ihara.clear_caches()
+
+
+def test_operand_check_never_reads_a_modular_stable_space(monkeypatch):
+    b3, b9 = special_basis(3)[0], special_basis(9)[0]
     ihara.clear_caches()
     try:
-        for s in SCALES:
-            assert (ihara_bracket(s3.scale(s), s5.scale(-s))
-                    == ihara_bracket(s3, s5).scale(-s * s))
-            with pytest.raises(SpecialConditionError, match="left operand"):
-                ihara_bracket(bad.scale(s), s3)
-            with pytest.raises(SpecialConditionError, match="right operand"):
-                ihara_bracket(s5, bad.scale(s))
+        # D_9 over GF(101) only; the lower bound builds D_3 over Q
+        ihara._stable_pairs(9, 101)
+        assert 9 not in ihara._STABLE_ROWS and 3 in ihara._STABLE_ROWS
+        witnesses = _count_calls(monkeypatch, "special_witness")
+        assert ihara_bracket(b9, b3) == _reference_bracket(b9, b3)
+        assert witnesses == [b9]
+        # and the check built no D_9
+        assert 9 not in ihara._STABLE_ROWS
     finally:
         ihara.clear_caches()
-    # one check per primitive operand, whatever the scale
-    assert checked == [s3, s5, bad]
+
+
+def test_stable_basis_passes_the_cheap_conditions():
+    # the premise of the operand check: D_n satisfies the special, 2-cycle
+    # and 3-cycle conditions, so its rows may stand in for them
+    for n in range(2, 13):
+        for f in special_basis(n):
+            assert is_stable(f, check_five_cycle=False), n
 
 
 def _reference_bracket(f, g):
@@ -1097,7 +1175,7 @@ def test_clear_caches_rebuilds_identical_bases(force_five_cycle):
     assert ihara._primitive_bracket.cache_info().currsize
     ihara.clear_caches()
     assert not any(ihara._EVAL_CACHE) and not ihara._ACT_ON_WORD
-    assert not ihara._ACT_IM
+    assert not ihara._ACT_IM and not ihara._STABLE_ROWS
     # every lru_cache of the module, so that a new one is not missed: six
     # per-degree caches, the per-operand derivations and verdicts of
     # ihara_bracket, and its brackets per pair of operands

@@ -25,10 +25,11 @@ from grtlab import (
     witt_dim,
 )
 
-from grtlab.lie import _tensor_coefficients, _word_images
+from grtlab.lie import _basis_bracket, _tensor_coefficients, _word_images
 from grtlab.words import _lyndon_tuples
 
-from conftest import XY, XYZ, random_element, random_homogeneous
+from conftest import (XY, XYZ, random_element, random_homogeneous,
+                      reference_basis_bracket)
 
 
 def test_bracket_antisymmetry_and_jacobi():
@@ -89,6 +90,23 @@ def test_basis_brackets_match_tensor_commutator():
                     tb = expand_assoc(b)
                     assert bracket(a, b) == project_lyndon(
                         ta * tb - tb * ta), (a, b)
+
+
+def test_basis_brackets_match_dict_based_jacobi():
+    # every ordered pair of Lyndon words through total degree 12, over
+    # equal and over weighted letter degrees
+    for alphabet, count in ((XY, 1694), (GradedAlphabet("a:1 b:2 c:3"), 557)):
+        words = [w for n in range(1, 12)
+                 for w in _lyndon_tuples(alphabet.degrees, n)]
+        deg = alphabet.word_degree
+        pairs = 0
+        for u in words:
+            for v in words:
+                if u < v and deg(u) + deg(v) <= 12:
+                    assert (_basis_bracket(u, v)
+                            == reference_basis_bracket(u, v)), (u, v)
+                    pairs += 1
+        assert pairs == count
 
 
 def test_results_own_their_terms():

@@ -4,10 +4,10 @@ import random
 
 import pytest
 
-from grtlab.errors import AtomicWordError
-from grtlab.words import (GradedAlphabet, _lyndon_tuples, _std_factorization,
-                          all_words, is_lyndon, lyndon_words,
-                          standard_factorization, tate_weight,
+from grtlab.errors import AtomicWordError, PreconditionError
+from grtlab.words import (GradedAlphabet, LyndonWord, _lyndon_tuples,
+                          _std_factorization, all_words, is_lyndon,
+                          lyndon_words, standard_factorization, tate_weight,
                           weighted_witt_dims, witt_dim)
 
 from conftest import XY, XYZ
@@ -147,3 +147,27 @@ def test_lyndon_words_sorted_and_distinct():
         ws = [w.letters for w in lyndon_words(XY, n)]
         assert ws == sorted(ws)
         assert len(set(ws)) == len(ws)
+
+
+def _same_word(got, want):
+    return (type(got) is LyndonWord and got == want
+            and (got.alphabet, got.letters, got.degree)
+            == (want.alphabet, want.letters, want.degree))
+
+
+def test_generated_words_equal_validated_construction():
+    """lyndon_words and standard_factorization skip the constructor's
+    checks; what they hand out equals the validated words, and the public
+    constructor still rejects what is not a Lyndon word."""
+    for alphabet, top in ((XY, 12), (GradedAlphabet("a:1 b:2 c:3"), 10)):
+        for n in range(1, top + 1):
+            for w in lyndon_words(alphabet, n):
+                assert _same_word(w, LyndonWord(alphabet, w.letters)), w
+                if len(w) > 1:
+                    u, v = standard_factorization(w)
+                    a, b = _std_factorization(w.letters)
+                    assert _same_word(u, LyndonWord(alphabet, a)), w
+                    assert _same_word(v, LyndonWord(alphabet, b)), w
+    for letters in ((), (1, 0), (0, 1, 0, 1), (0, 0), (0, 2)):
+        with pytest.raises(PreconditionError):
+            LyndonWord(XY, letters)
