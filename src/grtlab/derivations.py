@@ -2,10 +2,13 @@
 
 A derivation is stored by its images of the generators and extended to
 the whole algebra through the Leibniz rule along standard factorizations.
-The image of each Lyndon word is a raw {word: coefficient} dict, built
-with :func:`grtlab.lie._bracket_into` and cached per instance, for as long
-as the instance lives: :func:`grtlab.ihara.ihara_bracket` keeps one
-instance per operand, so its images serve every later bracket with it.
+The image of each Lyndon word is a raw dict keyed by the ids of
+interned words (see :mod:`grtlab.lie`), built with
+:func:`grtlab.lie._bracket_into` and cached per instance by the id of the
+word, for as long as the instance lives: :func:`grtlab.ihara.ihara_bracket`
+keeps one instance per operand, so its images serve every later bracket
+with it.  :meth:`Derivation.apply` re-keys its argument by id once and its
+result by word once.
 A derivation of degree d sends the degree-n piece to degree n + d; in the
 weight convention used for display it acts in weight -2d.
 
@@ -21,10 +24,10 @@ from typing import Sequence
 
 from .errors import (AlphabetMismatchError, InhomogeneousError,
                      PreconditionError)
-from .lie import (LieElement, _bracket_into, _merge_scaled, bracket,
+from .lie import (LieElement, _bracket_into, _factor_ids, _ids_of,
+                  _merge_scaled, _word_of, _words_of, bracket,
                   from_coordinates)
-from .words import (GradedAlphabet, lyndon_words, witt_dim,
-                    _std_factorization)
+from .words import GradedAlphabet, lyndon_words, witt_dim
 
 #: The alphabet every derivation in this module acts on.
 XY = GradedAlphabet("x y")
@@ -69,27 +72,35 @@ class Derivation:
         self.degree = degree
         self._cache: dict = {}
 
-    def _on_word(self, w: tuple[int, ...]) -> dict:
-        cached = self._cache.get(w)
+    def _on_word(self, i: int) -> dict:
+        """The image of the Lyndon word with id i, an {id: coefficient}
+        dict kept in ``_cache`` that callers must not mutate."""
+        cached = self._cache.get(i)
         if cached is None:
-            if len(w) == 1:
-                cached = (self.image_x if w[0] == 0 else self.image_y).terms
+            factors = _factor_ids(i)
+            if factors is None:
+                cached = _ids_of((self.image_x if _word_of(i) == (0,)
+                                  else self.image_y).terms)
             else:
-                u, v = _std_factorization(w)
+                u, v = factors
                 cached = _bracket_into(
                     _bracket_into({}, self._on_word(u), {v: 1}),
                     {u: 1}, self._on_word(v))
-            self._cache[w] = cached
+            self._cache[i] = cached
         return cached
+
+    def _apply_ids(self, terms: dict) -> dict:
+        """The image of an {id: coefficient} dict, as a new one."""
+        acc: dict = {}
+        for i, c in terms.items():
+            _merge_scaled(acc, self._on_word(i), c)
+        return acc
 
     def apply(self, e: LieElement) -> LieElement:
         """Extend through the Leibniz rule and evaluate at ``e``."""
         if e.alphabet != XY:
             raise AlphabetMismatchError("derivations act on the x,y algebra")
-        acc: dict = {}
-        for w, c in e.terms.items():
-            _merge_scaled(acc, self._on_word(w), c)
-        return LieElement._of(XY, acc)
+        return LieElement._of(XY, _words_of(self._apply_ids(_ids_of(e.terms))))
 
     def __call__(self, e: LieElement) -> LieElement:
         return self.apply(e)

@@ -46,14 +46,15 @@ from .derivations import X, XY, Y, Derivation
 from .errors import (AlphabetMismatchError, DegenerateLeadingTermError,
                      NotOneDimensionalError, PreconditionError,
                      SpecialConditionError)
-from .lie import (LieElement, _bracket_into, _merge_scaled,
-                  _tensor_coefficients, _word_images, bracket,
-                  from_coordinates, lie_to_string)
+from .lie import (LieElement, _bracket_into, _factor_ids, _id_images,
+                  _ids_of, _intern, _merge_scaled, _tensor_coefficients,
+                  _word_of, _words_of, bracket, from_coordinates,
+                  lie_to_string)
 from .linalg import (_check_prime, _column_kernel, _echelon,
                      _extend_echelon, _kernel_of_echelon, _positive,
                      _reduce, _sparse)
 from .motivic import image_model_dims
-from .words import _lyndon_tuples, _std_factorization
+from .words import _lyndon_tuples
 
 Z = LieElement(XY, {(0,): -1, (1,): -1})
 
@@ -75,25 +76,28 @@ HARD_MAX_DEGREE = 15
 # ---------------------------------------------------------------------
 # 5-cycle evaluation in the semidirect model of the sphere braid algebra.
 #
-# Elements of the model are pairs (fiber, base).  The base is a raw
-# coefficient dict {word tuple: int} over x, y.  The fiber, over the
-# letters a1, a2, a3 (indices 0, 1, 2), is kept split by grade, as
-# {(i, j): {word tuple: int}} with group (i, j) holding the words of
-# a1-degree i and a2-degree j.  The bracket of two words lies in the sum
-# of their grades, so a fiber bracket takes each pair of groups into a
-# single group, and its operands need no splitting.
+# Elements of the model are pairs (fiber, base).  Words are held as the
+# int ids of grtlab.lie, which hash at no cost.  The base is a raw
+# coefficient dict {id: int} over x, y.  The fiber, over the letters a1,
+# a2, a3 (indices 0, 1, 2), is kept split by grade, as {(i, j): {id: int}}
+# with group (i, j) holding the words of a1-degree i and a2-degree j.  The
+# bracket of two words lies in the sum of their grades, so a fiber bracket
+# takes each pair of groups into a single group, and its operands need no
+# splitting.  _pentagon_rows takes and returns dicts keyed by word, and
+# re-keys them once.
 #
 # Every function here takes a fiber budget ``cap``: None keeps the whole
 # fiber, and a grade pair (c1, c2) keeps the fiber words of a1-degree
 # <= c1 and a2-degree <= c2 only (c2 None: no a2 cap), which is a Lie
 # homomorphism of the model onto a quotient (see _budgets).  Base dicts
 # are never pruned.  The action caches and the evaluations of words below
-# the degree being cut are global, keyed by budget and shared across
-# degrees; the 5-cycle sums of degree-n elements are built on demand and
-# not kept.
+# the degree being cut are global, keyed by budget and word ids and shared
+# across degrees; the 5-cycle sums of degree-n elements are built on
+# demand and not kept.
 # ---------------------------------------------------------------------
 
-def _grade(w) -> tuple[int, int]:
+def _grade(i: int) -> tuple[int, int]:
+    w = _word_of(i)
     return w.count(0), w.count(1)
 
 
@@ -112,19 +116,22 @@ def _fiber_bracket(acc: dict, g1: Mapping, g2: Mapping, cap) -> dict:
     return acc
 
 
-_A1 = {(1, 0): {(0,): 1}}
-_A2 = {(0, 1): {(1,): 1}}
-_A3 = {(0, 0): {(2,): 1}}
+# The ids of the letters 0, 1, 2: x and y in the base, a1, a2 and a3 in
+# the fiber.
+_L0, _L1, _L2 = (_intern((i,)) for i in range(3))
+_A1 = {(1, 0): {_L0: 1}}
+_A2 = {(0, 1): {_L1: 1}}
+_A3 = {(0, 0): {_L2: 1}}
 
 # Images of the fiber letters under the action of the base letters: x
 # moves the chord a1 a2 pair, y the a2 a3 pair, matching the relations
 # among chords of five points on a sphere.  Their a1-degree and a2-degree
 # are at most 1, so they lie inside every budget.
 _LETTER_IM = {
-    (0,): (_fiber_bracket({}, _A1, _A2, None),
-           _fiber_bracket({}, _A2, _A1, None), {}),
-    (1,): ({}, _fiber_bracket({}, _A2, _A3, None),
-           _fiber_bracket({}, _A3, _A2, None)),
+    _L0: (_fiber_bracket({}, _A1, _A2, None),
+          _fiber_bracket({}, _A2, _A1, None), {}),
+    _L1: ({}, _fiber_bracket({}, _A2, _A3, None),
+          _fiber_bracket({}, _A3, _A2, None)),
 }
 
 _ACT_IM: dict = {}
@@ -173,14 +180,15 @@ def _budgets(n: int) -> tuple:
     return (1, min(max(2, n - 7), max(4, n - 9))), (1, None), None
 
 
-def _act_im(w, cap):
-    """Images of a1, a2, a3 under the action of the base word w."""
-    if len(w) == 1:
+def _act_im(w: int, cap):
+    """Images of a1, a2, a3 under the action of the base word with id w."""
+    factors = _factor_ids(w)
+    if factors is None:
         return _LETTER_IM[w]
     key = (cap, w)
     im = _ACT_IM.get(key)
     if im is None:
-        u, v = _std_factorization(w)
+        u, v = factors
         imv, imu = _act_im(v, cap), _act_im(u, cap)
         im = tuple(_act_into(_act_into({}, {u: 1}, imv[i], 1, cap),
                              {v: 1}, imu[i], -1, cap)
@@ -189,15 +197,16 @@ def _act_im(w, cap):
     return im
 
 
-def _act_on_word(w, v, cap) -> dict:
-    """Action of the base basis word w on the fiber basis word v."""
+def _act_on_word(w: int, v: int, cap) -> dict:
+    """Action of the base basis word w on the fiber basis word v, by id."""
     key = (cap, w, v)
     r = _ACT_ON_WORD.get(key)
     if r is None:
-        if len(v) == 1:
-            r = _act_im(w, cap)[v[0]]
+        factors = _factor_ids(v)
+        if factors is None:
+            r = _act_im(w, cap)[_word_of(v)[0]]
         else:
-            u2, v2 = _std_factorization(v)
+            u2, v2 = factors
             r = _fiber_bracket(
                 _fiber_bracket({}, _act_on_word(w, u2, cap),
                                {_grade(v2): {v2: 1}}, cap),
@@ -235,27 +244,28 @@ def _sd_fiber(e1, e2, cap) -> dict:
 # Consecutive chords x_{12}, x_{23}, x_{34}, x_{45}, x_{51} written in the
 # semidirect model; the 5-cycle condition sums f over consecutive pairs.
 _CHORDS = [
-    ({}, {(0,): 1}),
-    ({}, {(1,): 1}),
-    ({(1, 0): {(0,): 1}, (0, 1): {(1,): 1}}, {(0,): 1}),
-    ({(1, 0): {(0,): -1}, (0, 1): {(1,): -1}, (0, 0): {(2,): -1}}, {}),
-    ({(1, 0): {(0,): 1}}, {}),
+    ({}, {_L0: 1}),
+    ({}, {_L1: 1}),
+    ({(1, 0): {_L0: 1}, (0, 1): {_L1: 1}}, {_L0: 1}),
+    ({(1, 0): {_L0: -1}, (0, 1): {_L1: -1}, (0, 0): {_L2: -1}}, {}),
+    ({(1, 0): {_L0: 1}}, {}),
 ]
 _PAIR_ARGS = [(_CHORDS[i], _CHORDS[(i + 1) % 5]) for i in range(5)]
 _EVAL_CACHE: list[dict] = [{} for _ in range(5)]
 
 
-def _eval_word(p: int, w, cap):
-    """Standard bracketing of w evaluated at the p-th consecutive pair."""
+def _eval_word(p: int, w: int, cap):
+    """Standard bracketing of the word with id w evaluated at the p-th
+    consecutive pair, as a (fiber, base) pair of id-keyed dicts."""
     cache = _EVAL_CACHE[p]
     key = (cap, w)
     r = cache.get(key)
     if r is None:
-        if len(w) == 1:
-            r = _PAIR_ARGS[p][w[0]]
+        factors = _factor_ids(w)
+        if factors is None:
+            r = _PAIR_ARGS[p][_word_of(w)[0]]
         else:
-            u, v = _std_factorization(w)
-            eu, ev = _eval_word(p, u, cap), _eval_word(p, v, cap)
+            eu, ev = (_eval_word(p, x, cap) for x in factors)
             r = _sd_fiber(eu, ev, cap), _bracket_into({}, eu[1], ev[1])
         cache[key] = r
     return r
@@ -268,11 +278,12 @@ def _pentagon_rows(n: int, elements: Sequence[Mapping], cap) -> list[dict]:
     and is skipped.  Words are grouped by left standard factor u, and each
     group takes one bracket per element, [eval(u), sum_v c_v eval(v)], or
     one per word w = u v, whichever is fewer; degree-n evaluations are not
-    cached."""
+    cached.  The sums are made on word ids, and each is keyed by word once
+    at the end."""
     groups: dict = {}
     for j, f in enumerate(elements):
-        for w, c in f.items():
-            u, v = _std_factorization(w)
+        for w, c in _ids_of(f).items():
+            u, v = _factor_ids(w)
             groups.setdefault(u, {}).setdefault(v, []).append((j, c))
     out = [{} for _ in elements]
     for p in range(1, 5):
@@ -297,7 +308,7 @@ def _pentagon_rows(n: int, elements: Sequence[Mapping], cap) -> list[dict]:
                     for j, c in terms:
                         for group in fib.values():
                             _merge_scaled(out[j], group, c)
-    return out
+    return [_words_of(col) for col in out]
 
 
 def _cut(n: int, hexes, cap, p=None) -> tuple:
@@ -482,7 +493,8 @@ def _special_pair_matrix(n: int) -> list[dict]:
     per degree-n Lyndon word w: with z = -x - y, [y, f] = [z, u] is
     [y, g] = -[x, u] for g = f + u, and [x, w] is the basis word x w (see
     :func:`_special_pairs`, its one reader, which is cached)."""
-    return [_bracket_into({}, Y.terms, {w: 1})
+    y = _ids_of(Y.terms)
+    return [_words_of(_bracket_into({}, y, {_intern(w): 1}))
             for w in _lyndon_tuples((1, 1), n)]
 
 
@@ -536,9 +548,8 @@ def _tau_images(n: int) -> tuple:
     than words: tau swaps x and y.  The 2-cycle defect reads these alone;
     the 3-cycle reads them too (see :func:`_sigma_images`)."""
     words = _lyndon_tuples((1, 1), n)
-    at = {w: i for i, w in enumerate(words)}
-    tau = _word_images((Y, X))
-    return at, [{at[v]: c for v, c in tau(w).terms.items()} for w in words]
+    return ({w: i for i, w in enumerate(words)},
+            _images_by_index(words, (Y, X)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -550,10 +561,16 @@ def _sigma_images(n: int) -> list:
     and z -> x is never substituted (see :func:`_symmetry_rows`).  The
     images are dense, so only the 3-cycle builds them: in the hex build
     of the fallback route and in the cheap :func:`is_stable`."""
-    at, _ = _tau_images(n)
-    sigma = _word_images((Y, Z))
-    return [{at[v]: c for v, c in sigma(w).terms.items()}
-            for w in _lyndon_tuples((1, 1), n)]
+    return _images_by_index(_lyndon_tuples((1, 1), n), (Y, Z))
+
+
+def _images_by_index(words, imgs) -> list:
+    """Per word w of ``words``, the image of w under letter i -> imgs[i],
+    as a dict over the indices of ``words``, which it must span."""
+    ids = [_intern(w) for w in words]
+    at = {i: j for j, i in enumerate(ids)}
+    on_id = _id_images(imgs)
+    return [{at[v]: c for v, c in on_id(i).items()} for i in ids]
 
 
 def _symmetry_rows(f: LieElement, n: int, part: int) -> dict:
@@ -921,11 +938,15 @@ def _operand_is_stable(p: LieElement) -> bool:
 def _primitive_bracket(p: LieElement, q: LieElement) -> LieElement:
     """<p, q> for primitive operands p, q (see :func:`_split_operand`),
     kept for later brackets of any multiples of them; callers hand out
-    scaled copies only.  D_p(q) - D_q(p) + [p, q] is summed in the terms
-    of D_p(q), which no one else holds."""
-    acc = _operand_derivation(p)(q).terms
-    _merge_scaled(acc, _operand_derivation(q)(p).terms, -1)
-    return LieElement._of(XY, _bracket_into(acc, p.terms, q.terms))
+    scaled copies only.  p and q are re-keyed by word id once, and
+    D_p(q) - D_q(p) + [p, q] is summed on ids, in the dict of D_p(q),
+    which no one else holds, then keyed by word once.  The derivations
+    are applied to the id-keyed operands directly, so the bracket does
+    not pass through :meth:`Derivation.apply`."""
+    tp, tq = _ids_of(p.terms), _ids_of(q.terms)
+    acc = _operand_derivation(p)._apply_ids(tq)
+    _merge_scaled(acc, _operand_derivation(q)._apply_ids(tp), -1)
+    return LieElement._of(XY, _words_of(_bracket_into(acc, tp, tq)))
 
 
 def _split_operand(f: LieElement) -> tuple:
@@ -971,7 +992,8 @@ def ihara_bracket(f: LieElement, g: LieElement,
     served by antisymmetry, and <p, p> = 0 is never computed.  Each call
     returns a new element.  The bracket itself takes D_p from a cache of
     at most 64 derivations that keep their word images, so brackets of p
-    with new operands reuse them.  The verdict of the check is kept beside
+    with new operands reuse them; it is summed on the int ids of interned
+    words (see :mod:`grtlab.lie`) and keyed by word once.  The verdict of the check is kept beside
     D_p, since rescaling does not change it.  :func:`clear_caches` drops
     all three caches.
     """

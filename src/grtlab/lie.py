@@ -6,9 +6,14 @@ sigma(letter) = letter and sigma(w) = [sigma(u), sigma(v)] for the standard
 factorization w = u v.  Brackets of basis elements are rewritten back into
 the basis by the classical Lyndon rewriting process, with integer structure
 constants, and never touch the tensor algebra.  Every bracket in the
-package, of elements here or of raw {word: coefficient} dicts in
-``derivations`` and ``ihara``, runs through one loop, :func:`_bracket_into`,
-over the memoized brackets of basis words, :func:`_basis_bracket`.
+package runs through one loop, :func:`_bracket_into`, over the memoized
+brackets of basis words, :func:`_basis_bracket`.  Both run on int ids:
+each Lyndon word is interned once, in a table that only this module
+reads, and the loop's dicts are keyed by id, which hashes at no cost,
+where a word tuple is rehashed at every lookup.  ``LieElement.terms``
+stays keyed by word; :func:`bracket`, :func:`substitute`, the derivations
+of ``derivations`` and the stages of ``ihara`` re-key their dicts by id
+where they meet the loop (:func:`_ids_of`, :func:`_words_of`).
 
 The tensor algebra route (:func:`expand_assoc` / :func:`project_lyndon`)
 is implemented independently on purpose: the two routes cross-check each
@@ -20,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import threading
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
@@ -184,18 +190,98 @@ def from_coordinates(alphabet: GradedAlphabet, degree: int,
 
 
 # ---------------------------------------------------------------------------
+# interned Lyndon words
+#
+# The bracket kernel keys its dicts by int ids, which hash at no cost,
+# rather than by word tuples, which Python rehashes at every lookup.  Each
+# word gets its id once, on first sight, and keeps it: ids are never
+# reused or dropped (clear_caches in ``ihara`` leaves them alone), since
+# the cache of _basis_bracket and the word images of live derivations hold
+# them.  A new id is made under a lock; a known one is read without it.
+# Only this module reads the table or orders ids: other modules hold ids
+# as opaque dict keys, made with _intern or _ids_of and read back with
+# _word_of, _words_of or _factor_ids.
+
+#: Id -> word, id -> the id of its left and of its right standard factor
+#: (None for a letter), and word -> id.
+_ID_WORDS: list[Word] = []
+_ID_LEFT: list[int | None] = []
+_ID_RIGHT: list[int | None] = []
+_ID_OF_WORD: dict[Word, int] = {}
+_ID_LOCK = threading.Lock()
+_factorize = _std_factorization.__wrapped__
+
+
+def _intern(w: Word) -> int:
+    """The id of the Lyndon word w, made on first sight along with the
+    ids of its standard factors; the factorization does not go through
+    the cache of :func:`grtlab.words._std_factorization`."""
+    i = _ID_OF_WORD.get(w)
+    if i is None:
+        if len(w) == 1:
+            i = _new_id(w, None, None)
+        else:
+            a, b = _factorize(w)
+            i = _new_id(w, _intern(a), _intern(b))
+    return i
+
+
+def _new_id(w: Word, a: int | None, b: int | None) -> int:
+    """The id of w, made now unless another thread made it first, with
+    a and b the ids of its standard factors."""
+    with _ID_LOCK:
+        i = _ID_OF_WORD.get(w)
+        if i is None:
+            i = len(_ID_WORDS)
+            _ID_WORDS.append(w)
+            _ID_LEFT.append(a)
+            _ID_RIGHT.append(b)
+            _ID_OF_WORD[w] = i
+    return i
+
+
+def _factor_ids(i: int) -> tuple[int, int] | None:
+    """The ids of the standard factors of the word with id i, None for a
+    letter."""
+    a = _ID_LEFT[i]
+    return None if a is None else (a, _ID_RIGHT[i])
+
+
+def _word_of(i: int) -> Word:
+    """The word with id i."""
+    return _ID_WORDS[i]
+
+
+def _ids_of(terms: Mapping) -> dict:
+    """A {word: c} dict re-keyed by id, in the same order."""
+    get = _ID_OF_WORD.get
+    out = {}
+    for w, c in terms.items():
+        i = get(w)
+        out[_intern(w) if i is None else i] = c
+    return out
+
+
+def _words_of(terms: Mapping) -> dict:
+    """An {id: c} dict re-keyed by word, in the same order."""
+    words = _ID_WORDS
+    return {words[i]: c for i, c in terms.items()}
+
+
+# ---------------------------------------------------------------------------
 # bracket via Lyndon rewriting
 
 
 @functools.lru_cache(maxsize=None)
-def _basis_bracket(u: Word, v: Word) -> tuple[tuple[Word, int], ...]:
-    """[sigma(u), sigma(v)] expanded in the Lyndon basis, for Lyndon
-    words u < v, as a tuple of (word, integer coefficient) pairs sorted by
-    word.  Only ordered pairs are memoized: :func:`_bracket_into` serves
-    a reversed pair by antisymmetry and skips equal words.
+def _basis_bracket(u: int, v: int) -> tuple[tuple[int, int], ...]:
+    """[sigma(u), sigma(v)] expanded in the Lyndon basis, for the ids of
+    Lyndon words u < v, as a tuple of (id, integer coefficient) pairs.
+    Only ordered pairs are memoized: :func:`_bracket_into` serves a
+    reversed pair by antisymmetry and skips equal words.
 
     If u is a letter, or its right standard factor b is >= v, then (u, v)
-    is the standard factorization of uv and the result is sigma(uv).
+    is the standard factorization of uv and the result is sigma(uv),
+    whose id is made with those factors.
     Otherwise u = ab with b < v, and the Jacobi identity
     [[a,b],v] = [a,[b,v]] + [[a,v],b] pushes the computation to brackets
     of lower total degree plus pairs with shorter left factors (a < u <
@@ -204,44 +290,51 @@ def _basis_bracket(u: Word, v: Word) -> tuple[tuple[Word, int], ...]:
     bracketed with a or b as the ordered pair it forms, and equal words
     skipped.
     """
-    if len(u) > 1:
-        a, b = _std_factorization(u)
-        if b < v:
-            acc: dict[Word, int] = {}
+    words = _ID_WORDS
+    a = _ID_LEFT[u]
+    if a is not None:
+        b = _ID_RIGHT[u]
+        if words[b] < words[v]:
+            acc: dict[int, int] = {}
             get = acc.get
             for s, t, n in itertools.chain(
                     ((a, w, n) for w, n in _basis_bracket(b, v)),
                     ((w, b, n) for w, n in _basis_bracket(a, v))):
-                if s < t:
-                    terms = _basis_bracket(s, t)
-                elif t < s:
-                    terms, n = _basis_bracket(t, s), -n
-                else:
+                if s == t:
                     continue
+                if words[s] < words[t]:
+                    terms = _basis_bracket(s, t)
+                else:
+                    terms, n = _basis_bracket(t, s), -n
                 for w, m in terms:
                     new = get(w, 0) + n * m
                     if new:
                         acc[w] = new
                     else:
                         del acc[w]
-            return tuple(sorted(acc.items()))
-    return ((u + v, 1),)
+            return tuple(acc.items())
+    w = words[u] + words[v]
+    i = _ID_OF_WORD.get(w)
+    return ((_new_id(w, u, v) if i is None else i, 1),)
 
 
 def _bracket_into(acc: dict, t1: Mapping, t2: Mapping) -> dict:
-    """acc += [t1, t2] on raw {Lyndon word: coefficient} dicts, pruning
-    exact zeros; returns acc.  The one bracket loop of the package."""
+    """acc += [t1, t2] on raw {id: coefficient} dicts of interned Lyndon
+    words, pruning exact zeros; returns acc.  The one bracket loop of the
+    package."""
     get = acc.get
+    words = _ID_WORDS
     for u, cu in t1.items():
+        wu = words[u]
         for v, cv in t2.items():
-            if u < v:
+            if u == v:
+                continue
+            if wu < words[v]:
                 c = cu * cv
                 terms = _basis_bracket(u, v)
-            elif v < u:
+            else:
                 c = -cu * cv
                 terms = _basis_bracket(v, u)
-            else:
-                continue
             for w, n in terms:
                 new = get(w, 0) + c * n
                 if new:
@@ -262,18 +355,22 @@ def bracket(a: LieElement, b: LieElement,
     """
     if a.alphabet != b.alphabet:
         raise AlphabetMismatchError("bracket operands over different alphabets")
+    ta, tb = _ids_of(a.terms), _ids_of(b.terms)
     if max_degree is None:
-        return LieElement._of(a.alphabet, _bracket_into({}, a.terms, b.terms))
-    return LieElement._of(a.alphabet, _bracket_graded(
-        {}, _by_degree(a), _by_degree(b), max_degree))
+        acc = _bracket_into({}, ta, tb)
+    else:
+        deg = _id_degree(a.alphabet)
+        acc = _bracket_graded({}, _split_by(ta, deg), _split_by(tb, deg),
+                              max_degree)
+    return LieElement._of(a.alphabet, _words_of(acc))
 
 
 def _bracket_graded(acc: dict, g1: Mapping, g2: Mapping, bound) -> dict:
     """acc += the part of [a, b] of grade at most ``bound``, for an
     additive grading of words, given a and b split by grade as ``g1`` and
-    ``g2`` (grade -> raw dict, as from :func:`_split_by`); returns acc.
-    Pairs of groups whose grades add up to more than ``bound`` are never
-    bracketed."""
+    ``g2`` (grade -> raw {id: coefficient} dict, as from
+    :func:`_split_by`); returns acc.  Pairs of groups whose grades add up
+    to more than ``bound`` are never bracketed."""
     for d1, t1 in g1.items():
         for d2, t2 in g2.items():
             if d1 + d2 <= bound:
@@ -281,13 +378,18 @@ def _bracket_graded(acc: dict, g1: Mapping, g2: Mapping, bound) -> dict:
     return acc
 
 
-def _split_by(terms: Mapping, grade: Callable[[Word], int]
-              ) -> dict[int, dict]:
-    """The terms of a raw dict split by ``grade`` of their words."""
+def _split_by(terms: Mapping, grade: Callable) -> dict[int, dict]:
+    """The terms of a raw dict split by ``grade`` of their keys."""
     split: dict[int, dict] = {}
     for w, c in terms.items():
         split.setdefault(grade(w), {})[w] = c
     return split
+
+
+def _id_degree(alphabet: GradedAlphabet) -> Callable[[int], int]:
+    """The degree over ``alphabet`` of the word with a given id."""
+    deg, words = alphabet.word_degree, _ID_WORDS
+    return lambda i: deg(words[i])
 
 
 def _by_degree(e: LieElement) -> dict[int, dict]:
@@ -311,44 +413,46 @@ def substitute(f: LieElement, images: Iterable[LieElement],
     if any(img.alphabet != target for img in imgs):
         raise AlphabetMismatchError("substitution images over different "
                                     "alphabets")
-    on_word = _word_images(imgs, max_degree)
-    acc: dict[Word, object] = {}
-    for w, c in f.terms.items():
-        _merge_scaled(acc, on_word(w).terms, c)
-    return LieElement._of(target, acc)
+    on_id = _id_images(imgs, max_degree)
+    acc: dict = {}
+    for i, c in _ids_of(f.terms).items():
+        _merge_scaled(acc, on_id(i), c)
+    return LieElement._of(target, _words_of(acc))
 
 
-def _word_images(imgs: tuple[LieElement, ...], max_degree: int | None = None
-                 ) -> Callable[[Word], LieElement]:
-    """The map w -> sigma(w) evaluated at letter i -> imgs[i], memoized
-    along standard factorizations for as long as the caller keeps it.
-    Under ``max_degree`` each image is kept with its terms split by
-    degree, so a truncated bracket of two images splits neither again.
-    The memo is in no reference cycle, so it is freed with the map rather
-    than at the next garbage collection."""
-    cache: dict[Word, tuple[LieElement, dict | None]] = {}
-    return lambda w: _word_image(w, imgs, max_degree, cache)[0]
+def _id_images(imgs: tuple[LieElement, ...], max_degree: int | None = None
+               ) -> Callable[[int], dict]:
+    """The map from the id of w to sigma(w) evaluated at letter i ->
+    imgs[i], as a raw {id: coefficient} dict that the caller must not
+    mutate, memoized along standard factorizations for as long as the
+    caller keeps it.  Under ``max_degree`` each image is kept with its
+    terms split by degree, so a truncated bracket of two images splits
+    neither again.  The memo is in no reference cycle, so it is freed with
+    the map rather than at the next garbage collection."""
+    deg = None if max_degree is None else _id_degree(imgs[0].alphabet)
+    cache: dict[int, tuple[dict, dict | None]] = {}
+    return lambda i: _id_image(i, imgs, max_degree, deg, cache)[0]
 
 
-def _word_image(w: Word, imgs, max_degree, cache: dict
-                ) -> tuple[LieElement, dict | None]:
-    """The image of w for :func:`_word_images`, kept in ``cache`` with
-    its terms split by degree under ``max_degree``."""
-    got = cache.get(w)
+def _id_image(i: int, imgs, max_degree, deg, cache: dict
+              ) -> tuple[dict, dict | None]:
+    """The image of the word with id i for :func:`_id_images`, kept in
+    ``cache`` with its terms split by degree under ``max_degree``."""
+    got = cache.get(i)
     if got is None:
-        if len(w) == 1:
-            img = imgs[w[0]]
+        factors = _factor_ids(i)
+        if factors is None:
+            img = imgs[_ID_WORDS[i][0]]
             if max_degree is not None:
                 img = img.truncate(max_degree)
+            img = _ids_of(img.terms)
         else:
-            u, v = _std_factorization(w)
-            (iu, su), (iv, sv) = (_word_image(x, imgs, max_degree, cache)
-                                  for x in (u, v))
-            img = (bracket(iu, iv) if max_degree is None else
-                   LieElement._of(iu.alphabet,
-                                  _bracket_graded({}, su, sv, max_degree)))
-        got = cache[w] = (img, None if max_degree is None
-                          else _by_degree(img))
+            (iu, su), (iv, sv) = (_id_image(x, imgs, max_degree, deg, cache)
+                                  for x in factors)
+            img = (_bracket_into({}, iu, iv) if max_degree is None else
+                   _bracket_graded({}, su, sv, max_degree))
+        got = cache[i] = (img, None if max_degree is None
+                          else _split_by(img, deg))
     return got
 
 

@@ -13,8 +13,8 @@ from fractions import Fraction
 
 from grtlab import bracket, kernel_basis
 from grtlab.derivations import X, Y
-from grtlab.lie import (LieElement, _merge_scaled, _word_images,
-                        from_coordinates)
+from grtlab.lie import (LieElement, _id_images, _ids_of, _merge_scaled,
+                        _words_of, from_coordinates)
 from grtlab.linalg import _column_kernel
 from grtlab.words import GradedAlphabet, _lyndon_tuples, _std_factorization
 
@@ -123,16 +123,16 @@ def stacked_special_dense(n):
 def _substitution(imgs):
     """The word images of the substitution letter i -> imgs[i], kept
     across calls."""
-    return _word_images(imgs)
+    return _id_images(imgs)
 
 
 def substituted(f, imgs):
     """f with letter i replaced by imgs[i]."""
-    on_word = _substitution(imgs)
+    on_id = _substitution(imgs)
     acc = {}
-    for w, c in f.terms.items():
-        _merge_scaled(acc, on_word(w).terms, c)
-    return LieElement(f.alphabet, acc)
+    for i, c in _ids_of(f.terms).items():
+        _merge_scaled(acc, on_id(i), c)
+    return LieElement(f.alphabet, _words_of(acc))
 
 
 def symmetry_defects(f):

@@ -33,13 +33,15 @@ from grtlab import (
     special_dim_mod,
     special_witness,
     stable_derivation,
+    substitute,
 )
 from grtlab import ihara
 from grtlab.cli import run
 from grtlab.derivations import X, XY, Y
 from grtlab.ihara import (_eval_word, _hex_pairs, _pentagon_rows,
                           five_cycle_budget, five_cycle_route)
-from grtlab.lie import _merge_scaled, from_coordinates
+from grtlab.lie import (_intern, _merge_scaled, _word_of, _words_of,
+                        from_coordinates)
 from grtlab.linalg import _echelon, _positive, _sparse
 from grtlab.words import _lyndon_tuples
 
@@ -280,12 +282,48 @@ def test_graded_caches_are_consistent(force_five_cycle):
             caps.add(cap)
             for (i, j), terms in fiber.items():
                 assert all((w.count(0), w.count(1)) == (i, j)
-                           for w in terms)
+                           for w in map(_word_of, terms))
                 if cap is not None:
                     assert i <= cap[0] and (cap[1] is None or j <= cap[1])
     finally:
         ihara.clear_caches()
     assert caps == {None, ihara._budgets(9)[0]}
+
+
+def test_base_action_on_a1_linear_part_is_right_multiplication():
+    # In the a1 <= 1 quotient the a1-linear fiber elements are
+    # ad(m)(a1) = [c1, [c2, ..., [cr, a1]]] for m = c1 c2 ... cr in
+    # T(a2, a3), and a base element b of degree k >= 2 acts on them as
+    # right multiplication of m by (-1)^(k-1) b(-a2, a2 + a3).
+    fiber = GradedAlphabet("a1 a2 a3")
+    a1, a2, a3 = (LieElement.generator(fiber, c) for c in ("a1", "a2", "a3"))
+
+    def ad(m):
+        e = a1
+        for c in reversed(m):
+            e = bracket((a1, a2, a3)[c], e)
+        return e
+
+    monomials = [m for r in range(4) for m in itertools.product((1, 2),
+                                                                 repeat=r)]
+    for k in range(2, 7):
+        for b in _lyndon_tuples((1, 1), k):
+            image = expand_assoc(substitute(LieElement(XY, {b: 1}),
+                                            (-a2, a2 + a3))).terms
+            sign = (-1) ** (k - 1)
+            for m in monomials:
+                split = {}
+                for w, c in ad(m).terms.items():
+                    split.setdefault((w.count(0), w.count(1)),
+                                     {})[_intern(w)] = c
+                got = {}
+                for terms in ihara._act_into({}, {_intern(b): 1}, split, 1,
+                                             A1_ONLY).values():
+                    _merge_scaled(got, _words_of(terms), 1)
+                want = LieElement.zero(fiber)
+                for w, c in image.items():
+                    want = want + ad(m + w).scale(sign * c)
+                assert LieElement(fiber, got) == want, (b, m)
 
 
 def test_missed_budget_falls_back_to_a1_quotient(monkeypatch,
@@ -440,8 +478,8 @@ def _pentagon_by_word(elements, cap):
     for w in {w for f in elements for w in f}:
         row = {}
         for p in range(5):
-            for terms in _eval_word(p, w, cap)[0].values():
-                _merge_scaled(row, terms, 1)
+            for terms in _eval_word(p, _intern(w), cap)[0].values():
+                _merge_scaled(row, _words_of(terms), 1)
         rows[w] = row
     cols = []
     for f in elements:
@@ -492,7 +530,8 @@ def test_pentagon_base_part_is_two_cycle_defect():
         for w in words:
             base = {}
             for p in range(5):
-                _merge_scaled(base, _eval_word(p, w, None)[1], 1)
+                _merge_scaled(base, _words_of(_eval_word(p, _intern(w),
+                                                         None)[1]), 1)
             f = LieElement(XY, {w: 1})
             assert base == symmetry_defects(f)[0].terms, w
             # the library's 2-cycle defect, keyed by word index
@@ -1190,4 +1229,5 @@ def test_clear_caches_rebuilds_identical_bases(force_five_cycle):
     keys = [k for c in (*ihara._EVAL_CACHE, ihara._ACT_IM) for k in c]
     assert {cap for cap, _ in keys} == first
     assert {k[0] for k in ihara._ACT_ON_WORD} == first
-    assert max(len(w) for c in ihara._EVAL_CACHE for _, w in c) == 8
+    assert max(len(_word_of(w)) for c in ihara._EVAL_CACHE
+               for _, w in c) == 8

@@ -3,6 +3,8 @@
 import gc
 import itertools
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -25,7 +27,9 @@ from grtlab import (
     witt_dim,
 )
 
-from grtlab.lie import _basis_bracket, _tensor_coefficients, _word_images
+from grtlab import lie
+from grtlab.lie import (_basis_bracket, _bracket_into, _id_images, _intern,
+                        _tensor_coefficients, _word_of, _words_of)
 from grtlab.words import _lyndon_tuples
 
 from conftest import (XY, XYZ, random_element, random_homogeneous,
@@ -92,6 +96,65 @@ def test_basis_brackets_match_tensor_commutator():
                         ta * tb - tb * ta), (a, b)
 
 
+def test_word_ids_are_thread_safe_from_a_cold_table(monkeypatch):
+    # four threads intern overlapping sets of words into an empty table,
+    # in different orders, and bracket every pair of their words
+    monkeypatch.setattr(lie, "_ID_WORDS", [])
+    monkeypatch.setattr(lie, "_ID_LEFT", [])
+    monkeypatch.setattr(lie, "_ID_RIGHT", [])
+    monkeypatch.setattr(lie, "_ID_OF_WORD", {})
+    words = [w for n in range(1, 12) for w in _lyndon_tuples((1, 1), n)]
+    rng = random.Random(2411)
+    step = len(words) // 6
+    sets = [rng.sample(words[k * step:(k + 3) * step], 3 * step)
+            for k in range(4)]
+    barrier = threading.Barrier(4)
+    results = [None] * 4
+
+    def work(k):
+        barrier.wait()
+        ids = [_intern(w) for w in sets[k]]
+        out = {}
+        for u, v in itertools.product(ids, repeat=2):
+            if len(_word_of(u)) + len(_word_of(v)) <= 12:
+                out[_word_of(u), _word_of(v)] = _words_of(
+                    _bracket_into({}, {u: 1}, {v: 1}))
+        results[k] = ids, out
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    _basis_bracket.cache_clear()
+    try:
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        table = lie._ID_WORDS
+        assert len(set(table)) == len(table) == len(lie._ID_OF_WORD)
+        assert all(lie._ID_OF_WORD[w] == i for i, w in enumerate(table))
+        assert len(lie._ID_LEFT) == len(lie._ID_RIGHT) == len(table)
+        assert all(len(w) == 1 if a is None else table[a] + table[b] == w
+                   for w, a, b in zip(table, lie._ID_LEFT, lie._ID_RIGHT))
+        for k, (ids, out) in enumerate(results):
+            assert len(set(ids)) == len(ids)
+            assert [_word_of(i) for i in ids] == sets[k]
+            assert [_intern(w) for w in sets[k]] == ids
+            for (u, v), got in out.items():
+                serial = {} if u == v else dict(
+                    reference_basis_bracket(*sorted((u, v))))
+                if v < u:
+                    serial = {w: -c for w, c in serial.items()}
+                assert got == serial, (u, v)
+    finally:
+        # its entries hold ids of the table the test made
+        _basis_bracket.cache_clear()
+
+
 def test_basis_brackets_match_dict_based_jacobi():
     # every ordered pair of Lyndon words through total degree 12, over
     # equal and over weighted letter degrees
@@ -103,7 +166,8 @@ def test_basis_brackets_match_dict_based_jacobi():
         for u in words:
             for v in words:
                 if u < v and deg(u) + deg(v) <= 12:
-                    assert (_basis_bracket(u, v)
+                    got = _basis_bracket(_intern(u), _intern(v))
+                    assert (tuple(sorted((_word_of(w), n) for w, n in got))
                             == reference_basis_bracket(u, v)), (u, v)
                     pairs += 1
         assert pairs == count
@@ -340,9 +404,9 @@ def test_word_images_free_their_memo_without_gc():
     gc.collect()
     gc.disable()
     try:
-        on_word = _word_images((y, x))
-        assert on_word((0, 0, 1, 0, 1, 1))
-        del on_word
+        on_id = _id_images((y, x))
+        assert on_id(_intern((0, 0, 1, 0, 1, 1)))
+        del on_id
         assert gc.collect() == 0
     finally:
         gc.enable()
