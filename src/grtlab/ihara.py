@@ -47,9 +47,8 @@ from .errors import (AlphabetMismatchError, DegenerateLeadingTermError,
                      NotOneDimensionalError, PreconditionError,
                      SpecialConditionError)
 from .lie import (LieElement, _bracket_into, _factor_ids, _id_images,
-                  _ids_of, _intern, _merge_scaled, _tensor_coefficients,
-                  _word_of, _words_of, bracket, from_coordinates,
-                  lie_to_string)
+                  _ids_of, _intern, _merge_scaled, _word_of, _words_of,
+                  bracket, from_coordinates, lie_to_string)
 from .linalg import (_check_prime, _column_kernel, _echelon,
                      _extend_echelon, _kernel_of_echelon, _positive,
                      _reduce, _sparse)
@@ -60,16 +59,18 @@ Z = LieElement(XY, {(0,): -1, (1,): -1})
 
 #: Default cap on the degree of stable-space computations offered by the
 #: command line.  On a 2-core VM (Python 3.11) a cold ``ihara freeness
-#: --max-degree N``, timed as a child process, takes 0.14-0.2 s at a peak
-#: RSS of 18 MiB for N = 10 and 0.31-0.33 s at 21 MiB for N = 12.  Each
-#: degree above costs several times the one before (see HARD_MAX_DEGREE),
-#: so the command line builds those only when asked.
+#: --max-degree N``, timed as a child process, takes 0.10-0.14 s at a
+#: peak RSS of 18 MiB for N = 10 and 0.18-0.22 s at 21 MiB for N = 12
+#: (three runs each).  Each degree above costs several times the one
+#: before (see HARD_MAX_DEGREE), so the command line builds those only
+#: when asked.
 DEFAULT_MAX_DEGREE = 12
 #: Highest degree the command line accepts.  On the same VM N = 13 takes
-#: 1.2-1.4 s at 29 MiB, N = 14 takes 2.2-3.4 s at 49 MiB and N = 15
-#: takes 23-26 s at 140 MiB, as does ``ihara basis --degree 15`` (22-26 s,
-#: three runs each); the stuffle cut decides every degree.  The 5-cycle
-#: route took 117 s at 831 MiB through degree 15 (BENCH_stuffle-cut.json).
+#: 0.50-0.58 s at 29 MiB, N = 14 takes 1.3-1.5 s at 49 MiB and N = 15
+#: takes 11-12 s at 146 MiB, as does ``ihara basis --degree 15`` (three
+#: runs each, BENCH_int-stuffle-route.json); the stuffle cut decides every
+#: degree.  The 5-cycle route took 117 s at 831 MiB through degree 15
+#: (BENCH_stuffle-cut.json).
 HARD_MAX_DEGREE = 15
 
 
@@ -316,21 +317,26 @@ def _cut(n: int, hexes, cap, p=None) -> tuple:
     ``cap``, as :func:`_canonical_cut` gives them."""
     combos = _column_kernel(
         _pentagon_rows(n, [f.terms for f in hexes], cap), p)
-    return _canonical_cut(combos, hexes, p)
+    return _canonical_cut(combos, [_indexed(f, n) for f in hexes], n, p)
 
 
-def _canonical_cut(combos, elements, p=None) -> tuple:
-    """The combinations of ``elements`` given by the coefficient vectors
-    ``combos``, as (basis, rows, pivots): the canonical basis of their
-    span, the same elements as reduced echelon rows keyed by Lyndon word
-    (primitive integral, leading entry positive; over GF(p), monic
-    residues), and their pivot words.  Degree-n words compare in basis
-    order, so the pivots are those of the echelon form in Lyndon
-    coordinates, and the result depends on the span alone."""
+def _canonical_cut(combos, elements, n: int, p=None) -> tuple:
+    """The combinations of ``elements``, raw dicts over the indices of the
+    degree-n words, given by the coefficient vectors ``combos``, as
+    (basis, rows, pivots): the canonical basis of their span, the same
+    elements as reduced echelon rows keyed by Lyndon word (primitive
+    integral, leading entry positive; over GF(p), monic residues), and
+    their pivot words.  The echelon form is taken on the indices, which
+    order the words as the words themselves do, so the rows are those of
+    the echelon form in Lyndon coordinates, keyed by word at the end, and
+    the result depends on the span alone."""
+    words = _lyndon_tuples((1, 1), n)
     red, pivots = _echelon([f for f in _combine(combos, elements, p) if f],
                            p, reduced=True)
-    rows = tuple(_positive(row) for row in red)
-    return tuple(LieElement(XY, row) for row in rows), rows, tuple(pivots)
+    rows = tuple({words[i]: c for i, c in _positive(row).items()}
+                 for row in red)
+    return (tuple(LieElement(XY, row) for row in rows), rows,
+            tuple(words[i] for i in pivots))
 
 
 # ---------------------------------------------------------------------
@@ -352,9 +358,13 @@ def _canonical_cut(combos, elements, p=None) -> tuple:
 # where (f | w) is the coefficient of w in the tensor expansion of f.
 # ---------------------------------------------------------------------
 
-def _composition_word(parts) -> tuple:
-    """The word x^(n1-1) y ... x^(nk-1) y of the composition parts."""
-    return tuple(c for m in parts for c in (0,) * (m - 1) + (1,))
+def _composition_code(parts) -> int:
+    """The code of the word x^(n1-1) y ... x^(nk-1) y of the composition
+    parts (see :func:`_word_code`)."""
+    code = 1
+    for m in parts:
+        code = code << m | 1
+    return code
 
 
 def _compositions(total: int, parts: int):
@@ -381,16 +391,94 @@ def _stuffle_keys(n: int):
 
 
 def _stuffle_row(a: int, v: tuple) -> dict:
-    """The row of (y_a, v) as {word: coefficient} (see the notes above)."""
+    """The row of (y_a, v) as {word code: coefficient} (see the notes
+    above and :func:`_word_code`)."""
     k = len(v)
     row: dict = {}
     for i in range(k + 1):
-        w = _composition_word((*v[:i], a, *v[i:]))
+        w = _composition_code((*v[:i], a, *v[i:]))
         row[w] = row.get(w, 0) - (-1) ** k
     for i in range(k):
-        w = _composition_word((*v[:i], a + v[i], *v[i + 1:]))
+        w = _composition_code((*v[:i], a + v[i], *v[i + 1:]))
         row[w] = row.get(w, 0) + (-1) ** k
     return row
+
+
+# The tensor coefficients that the rows read, on int-coded words.  An x,y
+# word of length L is coded as a leading 1 bit followed by one bit per
+# letter, y = 1: the int 2^L + sum of s_i 2^(L-1-i).  Its prefix of length
+# i is then code >> (L - i), its suffix from i is the low L - i bits with
+# the leading bit set again, and two codes of equal length compare as
+# their words do.  _TENSOR_MEMO maps a code to its coefficients keyed by
+# the id of the Lyndon word; it serves every degree, over Q and GF(p)
+# alike, since the coefficients are integers that depend on the word
+# alone.  An entry is stored only once it is complete, so threads that
+# meet on a word at worst build it twice.
+
+#: Word code -> {id of the Lyndon word l: (P_l | s)}, see
+#: :func:`_coded_tensor_coefficients`.
+_TENSOR_MEMO: dict[int, dict[int, int]] = {}
+
+
+def _word_code(w) -> int:
+    """The int code of the x,y word w (see the notes above)."""
+    code = 1
+    for c in w:
+        code = code << 1 | c
+    return code
+
+
+@functools.lru_cache(maxsize=None)
+def _content_words(length: int, ys: int) -> tuple:
+    """(splits, words): the Lyndon x,y words of the given length with
+    ``ys`` letters y, in lexicographic order, each as (code, id, |a|, id
+    of a, |b|, id of b) with a b its standard factorization; and the
+    lengths |a| and |b| that occur, the only places where
+    :func:`_coded_tensor_coefficients` splits a word of that content."""
+    words = []
+    for w in _lyndon_tuples((1, 1), length):
+        if sum(w) == ys:
+            i = _intern(w)
+            a, b = _factor_ids(i)
+            k = len(_word_of(a))
+            words.append((_word_code(w), i, k, a, length - k, b))
+    splits = sorted({k for w in words for k in (w[2], w[4])})
+    return tuple(splits), tuple(words)
+
+
+def _coded_tensor_coefficients(s: int) -> dict:
+    """{id of l: (P_l | s)} for the x,y word with code s: the recursion of
+    :func:`lie._tensor_coefficients` on codes, kept in _TENSOR_MEMO.
+
+    For l = a b, its standard factorization, (P_l | s) = (P_a | s')
+    (P_b | s'') - (P_b | t') (P_a | t''), with s = s' s'' split at |a| and
+    s = t' t'' at |b|, over the Lyndon words l <= s with the letters of s
+    (the candidates of :func:`_content_words`).  A word below every
+    candidate has no coefficient and reads no substring.  The values are
+    shared, not copied."""
+    got = _TENSOR_MEMO.get(s)
+    if got is None:
+        length = s.bit_length() - 1
+        if length == 1:
+            got = {_L1 if s & 1 else _L0: 1}
+        else:
+            got = {}
+            splits, words = _content_words(length, s.bit_count() - 1)
+            if words and words[0][0] <= s:
+                pre, suf = [None] * length, [None] * length
+                for i in splits:
+                    low = 1 << length - i
+                    pre[i] = _coded_tensor_coefficients(s >> length - i)
+                    suf[i] = _coded_tensor_coefficients(s & low - 1 | low)
+                for code, w, i, a, j, b in words:
+                    if code > s:
+                        break
+                    c = (pre[i].get(a, 0) * suf[i].get(b, 0)
+                         - pre[j].get(b, 0) * suf[j].get(a, 0))
+                    if c:
+                        got[w] = c
+        _TENSOR_MEMO[s] = got
+    return got
 
 
 def _stuffle_cut(n: int, bound: int, p: int | None = None):
@@ -404,21 +492,21 @@ def _stuffle_cut(n: int, bound: int, p: int | None = None):
     Every element of D_n satisfies every row (see the notes above), so
     the cut holds D_n, and a cut of dimension ``bound`` is D_n (see
     :func:`_stable_pairs`).  The value of a row on the element f_j is
-    the sum of s_w (f_j | w) over its words w; (f_j | w) is kept per word,
-    read off the tensor coefficients of the Lyndon words on w
-    (:func:`lie._tensor_coefficients`), with one memo of the substrings
-    of the words tried."""
+    the sum of s_w (f_j | w) over its words w; (f_j | w) is kept per word
+    code, read off the tensor coefficients of the Lyndon words on w
+    (:func:`_coded_tensor_coefficients`, from the memo that every degree
+    shares) against the columns of the elements keyed by word id."""
     elements = _two_cycle_kernel(n, p)
     target = len(elements) - bound
     if target < 0:
         raise AssertionError(
             f"degree {n}: lower bound {bound} exceeds the dimension "
             f"{len(elements)} of the 2-cycle kernel")
+    ids = [_intern(w) for w in _lyndon_tuples((1, 1), n)]
     columns: dict = {}
     for j, f in enumerate(elements):
-        for w, c in f.terms.items():
-            columns.setdefault(w, []).append((j, c))
-    memo: dict = {}
+        for i, c in f.items():
+            columns.setdefault(ids[i], []).append((j, c))
     on_word: dict = {}
     ech: list = []
     pivots: list = []
@@ -432,14 +520,14 @@ def _stuffle_cut(n: int, bound: int, p: int | None = None):
             at_w = on_word.get(w)
             if at_w is None:
                 at_w = on_word[w] = {}
-                for word, c in _tensor_coefficients(w, memo).items():
+                for word, c in _coded_tensor_coefficients(w).items():
                     for j, cj in columns.get(word, ()):
                         at_w[j] = at_w.get(j, 0) + c * cj
             _merge_scaled(value, at_w, s)
         _extend_echelon(ech, pivots, _sparse(value, p), p)
     combos = _kernel_of_echelon(*_echelon(ech, p, reduced=True),
                                 len(elements))
-    return _canonical_cut(combos, elements, p)
+    return _canonical_cut(combos, elements, n, p)
 
 
 # ---------------------------------------------------------------------
@@ -451,10 +539,16 @@ def _stuffle_cut(n: int, bound: int, p: int | None = None):
 # special-pair kernel, as reduced echelon rows, and the tau and sigma
 # images of each Lyndon word.  The stuffle cut reads the tau images alone;
 # the sigma images are built on the first 3-cycle check of a degree.  The
-# hex basis of the fallback route is cached too.  The operand check of the
-# verified bracket first reads the rows of a rational D_n already built,
-# from _STABLE_ROWS: a plain dict rather than the cache of _stable_pairs,
-# whose name a caller may rebind to a wrapper without cache attributes.
+# hex basis of the fallback route is cached too.  The stages in between
+# key their rows by the index of a word in the degree-n basis, or by its
+# id (see grtlab.lie); only D_n itself is keyed by word.  The tensor
+# coefficients of the stuffle rows are kept across degrees and primes, in
+# _TENSOR_MEMO, keyed by word code, with the candidate words of each
+# length and number of letters y beside them (_content_words).  The
+# operand check of the verified bracket first reads the rows of a
+# rational D_n already built, from _STABLE_ROWS: a plain dict rather than
+# the cache of _stable_pairs, whose name a caller may rebind to a wrapper
+# without cache attributes.
 # ---------------------------------------------------------------------
 
 #: Degree -> (rows, pivots) of each rational D_n that _stable_pairs has
@@ -464,18 +558,20 @@ _STABLE_ROWS: dict = {}
 
 def clear_caches() -> None:
     """Drop the stable-space caches: per-degree matrices, kernels, echelon
-    rows and bases; under every fiber budget, 5-cycle evaluations of words
-    and the action of base words on fiber letters and words; and what
+    rows and bases; the tensor coefficients of the stuffle rows and their
+    candidate words; under every fiber budget, 5-cycle evaluations of
+    words and the action of base words on fiber letters and words; and what
     :func:`ihara_bracket` keeps: the derivations and verdicts per operand,
     the brackets per pair of operands and the rows of each D_n built that
     its operand check reads.  Later calls rebuild them, with identical
     results."""
     for cached in (_special_pairs, _witness_rows, _tau_images,
-                   _sigma_images, _hex_pairs, _stable_pairs,
+                   _sigma_images, _hex_pairs, _stable_pairs, _content_words,
                    _operand_derivation, _operand_is_stable,
                    _primitive_bracket):
         cached.cache_clear()
-    for cache in (*_EVAL_CACHE, _ACT_ON_WORD, _ACT_IM, _STABLE_ROWS):
+    for cache in (*_EVAL_CACHE, _ACT_ON_WORD, _ACT_IM, _STABLE_ROWS,
+                  _TENSOR_MEMO):
         cache.clear()
 
 
@@ -489,12 +585,12 @@ def _per_degree(stage):
 
 
 def _special_pair_matrix(n: int) -> list[dict]:
-    """The sparse columns [y, w], raw dicts over degree-(n + 1) words, one
-    per degree-n Lyndon word w: with z = -x - y, [y, f] = [z, u] is
-    [y, g] = -[x, u] for g = f + u, and [x, w] is the basis word x w (see
-    :func:`_special_pairs`, its one reader, which is cached)."""
+    """The sparse columns [y, w], raw dicts over the ids of degree-(n + 1)
+    words, one per degree-n Lyndon word w: with z = -x - y, [y, f] =
+    [z, u] is [y, g] = -[x, u] for g = f + u, and [x, w] is the basis word
+    x w (see :func:`_special_pairs`, its one reader, which is cached)."""
     y = _ids_of(Y.terms)
-    return [_words_of(_bracket_into({}, y, {_intern(w): 1}))
+    return [_bracket_into({}, y, {_intern(w): 1})
             for w in _lyndon_tuples((1, 1), n)]
 
 
@@ -508,17 +604,17 @@ def _special_pairs(n: int, p: int | None = None) -> tuple:
     words; then u_w = -[y, g]_{x w} and f = g - u.  g -> f is a bijection,
     because ad z is injective in degree >= 2.  Over GF(p) the terms off
     the words x w vanish mod p, and the pairs are residues."""
-    words = _lyndon_tuples((1, 1), n)
-    xw = {(0, *w) for w in words}
+    xw = [_intern((0, *w)) for w in _lyndon_tuples((1, 1), n)]
+    off = set(xw)
     cols = _special_pair_matrix(n)
     pairs = []
-    for g in _column_kernel([{v: c for v, c in col.items() if v not in xw}
+    for g in _column_kernel([{v: c for v, c in col.items() if v not in off}
                              for col in cols], p):
         yg: dict = {}
         for gj, col in zip(g, cols):
             if gj:
                 _merge_scaled(yg, col, gj)
-        u = [-yg.pop((0, *w), 0) for w in words]
+        u = [-yg.pop(i, 0) for i in xw]
         if any(c % p if p else c for c in yg.values()):
             raise AssertionError(f"degree {n}: [y, g] is off the words x w")
         pair = [a - b for a, b in zip(g, u)] + u
@@ -573,13 +669,20 @@ def _images_by_index(words, imgs) -> list:
     return [{at[v]: c for v, c in on_id(i).items()} for i in ids]
 
 
-def _symmetry_rows(f: LieElement, n: int, part: int) -> dict:
+def _indexed(f: LieElement, n: int) -> dict:
+    """The terms of f, homogeneous of degree n, keyed by the index of
+    each word in the degree-n basis."""
+    at = _tau_images(n)[0]
+    return {at[w]: c for w, c in f.terms.items()}
+
+
+def _symmetry_rows(own: Mapping, n: int, part: int) -> dict:
     """The 2-cycle defect f + tau f (part 0) or the 3-cycle defect
     f + sigma f - tau(sigma f) (part 1) of f, homogeneous of degree n, as
-    a raw dict over word indices.  Part 1 is f + f(y, z) + f(z, x) where
+    a raw dict over word indices; f is given as ``own``, keyed the same
+    way (see :func:`_indexed`).  Part 1 is f + f(y, z) + f(z, x) where
     part 0 vanishes (:func:`_sigma_images`), and means nothing else."""
-    at, tau = _tau_images(n)
-    own = {at[w]: c for w, c in f.terms.items()}
+    tau = _tau_images(n)[1]
     images = _sigma_images(n) if part else tau
     row: dict = {}
     for i, c in own.items():
@@ -593,19 +696,23 @@ def _symmetry_rows(f: LieElement, n: int, part: int) -> dict:
 
 def _symmetry_cut(elements, n: int, part: int, p=None) -> list:
     """A basis of the combinations of ``elements`` whose 2-cycle (part 0)
-    or 3-cycle (part 1) defect vanishes (see :func:`_symmetry_rows`)."""
+    or 3-cycle (part 1) defect vanishes (see :func:`_symmetry_rows`), as
+    :func:`_combine` gives them; the elements and the result are raw
+    dicts over word indices."""
     cols = [_symmetry_rows(f, n, part) for f in elements]
-    return [LieElement(XY, f)
-            for f in _combine(_column_kernel(cols, p), elements, p)]
+    return _combine(_column_kernel(cols, p), elements, p)
 
 
 def _two_cycle_kernel(n: int, p: int | None = None) -> list:
     """The f halves of :func:`_special_pairs` cut by the 2-cycle, over
     GF(p) when ``p`` is given: the space that both routes of
-    :func:`_stable_pairs` cut further.  It is not cached; the fallback
-    route rebuilds it."""
+    :func:`_stable_pairs` cut further, as raw dicts over the indices of
+    the degree-n words, primitive integral or residues mod p.  The dense
+    f halves are read straight into such dicts, and no word is met.  It is
+    not cached; the fallback route rebuilds it."""
     d = len(_lyndon_tuples((1, 1), n))
-    specials = [from_coordinates(XY, n, v[:d]) for v in _special_pairs(n, p)]
+    specials = [{i: c for i, c in enumerate(v[:d]) if c}
+                for v in _special_pairs(n, p)]
     return _symmetry_cut(specials, n, 0, p)
 
 
@@ -618,18 +725,21 @@ def _hex_pairs(n: int, p: int | None = None) -> tuple:
     (:func:`_two_cycle_kernel`) is cut by the 3-cycle; there tau f = -f,
     so the 3-cycle defect is f + sigma f - tau(sigma f) (see
     :func:`_sigma_images`), one dense substitution per word."""
-    return tuple(_symmetry_cut(_two_cycle_kernel(n, p), n, 1, p))
+    words = _lyndon_tuples((1, 1), n)
+    return tuple(LieElement._of(XY, {words[i]: c for i, c in f.items()})
+                 for f in _symmetry_cut(_two_cycle_kernel(n, p), n, 1, p))
 
 
 def _combine(combos, elements, p=None) -> list[dict]:
-    """The elements sum_j t_j elements[j], one per coefficient vector t,
-    as raw dicts made primitive, or reduced mod p when ``p`` is given."""
+    """The elements sum_j t_j elements[j] of raw dicts, one per
+    coefficient vector t, made primitive, or reduced mod p when ``p`` is
+    given."""
     out = []
     for t in combos:
         f: dict = {}
         for tj, fj in zip(t, elements):
             if tj:
-                _merge_scaled(f, fj.terms, tj)
+                _merge_scaled(f, fj, tj)
         out.append(_sparse(f, p))
     return out
 
@@ -679,7 +789,7 @@ def _stable_pairs(n: int, p: int | None = None) -> tuple:
     hexes = _hex_pairs(n, p)
     # The evaluator skips the base part, f + f(y, x); it must vanish here.
     # Only the 2-cycle defect is built: the 3-cycle images are dense.
-    if any(_sparse(_symmetry_rows(f, n, 0), p) for f in hexes):
+    if any(_sparse(_symmetry_rows(_indexed(f, n), n, 0), p) for f in hexes):
         raise AssertionError(
             "5-cycle base component failed to cancel on a 2-cycle "
             "symmetric element")
@@ -851,7 +961,8 @@ def is_stable(f: LieElement, check_five_cycle: bool = True) -> bool:
         special_witness(f)
     except SpecialConditionError:
         return False
-    return not any(_symmetry_rows(f, n, part) for part in (0, 1))
+    own = _indexed(f, n)
+    return not any(_symmetry_rows(own, n, part) for part in (0, 1))
 
 
 def special_dim_mod(n: int, p: int) -> int:

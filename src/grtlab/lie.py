@@ -547,7 +547,10 @@ def _tensor_coefficients(s: Word, memo: dict) -> dict:
     the coefficients on s come from those on its prefixes and suffixes,
     and no word is expanded in full.  ``memo`` keeps every substring's
     coefficients for as long as the caller keeps it; its values are
-    shared, not copied."""
+    shared, not copied.  The stuffle cut of ``ihara`` runs the same
+    recursion on x,y words coded as ints, with one memo for the process
+    (``ihara._coded_tensor_coefficients``); this form serves any
+    alphabet, and the tests check the two against each other."""
     got = memo.get(s)
     if got is None:
         if len(s) == 1:
@@ -606,18 +609,20 @@ def project_lyndon(p: AssocPoly) -> LieElement:
 # canonical printing
 
 
-def _word_bracket_str(alphabet: GradedAlphabet, w: Word, memo: dict) -> str:
-    """The standard bracketing of w as text, kept in ``memo`` along with
-    the bracketings of its standard factors."""
-    text = memo.get(w)
+def _word_bracket_str(alphabet: GradedAlphabet, i: int, memo: dict) -> str:
+    """The standard bracketing of the word with id i as text, kept in
+    ``memo`` along with the bracketings of its standard factors, which
+    the table of ids holds."""
+    text = memo.get(i)
     if text is None:
-        if len(w) == 1:
-            text = alphabet.names[w[0]]
+        factors = _factor_ids(i)
+        if factors is None:
+            text = alphabet.names[_ID_WORDS[i][0]]
         else:
-            u, v = _std_factorization(w)
+            u, v = factors
             text = (f"[{_word_bracket_str(alphabet, u, memo)},"
                     f"{_word_bracket_str(alphabet, v, memo)}]")
-        memo[w] = text
+        memo[i] = text
     return text
 
 
@@ -630,12 +635,12 @@ def lie_to_string(e: LieElement) -> str:
         return "0"
     items = sorted(e.terms.items(),
                    key=lambda kv: (e.alphabet.word_degree(kv[0]), kv[0]))
-    memo: dict[Word, str] = {}
+    memo: dict[int, str] = {}
     parts: list[str] = []
     for w, c in items:
         frac = c if isinstance(c, Fraction) else Fraction(c)
         mag = abs(frac)
-        body = _word_bracket_str(e.alphabet, w, memo)
+        body = _word_bracket_str(e.alphabet, _intern(w), memo)
         text = body if mag == 1 else f"{mag}*{body}"
         if not parts:
             parts.append(text if frac > 0 else f"-{text}")

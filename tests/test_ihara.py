@@ -4,6 +4,8 @@ import functools
 import itertools
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -39,9 +41,9 @@ from grtlab import ihara
 from grtlab.cli import run
 from grtlab.derivations import X, XY, Y
 from grtlab.ihara import (_eval_word, _hex_pairs, _pentagon_rows,
-                          five_cycle_budget, five_cycle_route)
-from grtlab.lie import (_intern, _merge_scaled, _word_of, _words_of,
-                        from_coordinates)
+                          _stuffle_cut, five_cycle_budget, five_cycle_route)
+from grtlab.lie import (_intern, _merge_scaled, _tensor_coefficients,
+                        _word_of, _words_of, from_coordinates)
 from grtlab.linalg import _echelon, _positive, _sparse
 from grtlab.words import _lyndon_tuples
 
@@ -185,8 +187,10 @@ def _check_stuffle_rows(degrees):
         # all pairs (a, v) with v a composition of n - a, but (1, 1^(n-1))
         assert len(set(keys)) == len(keys) == 2 ** (n - 1) - 2
         assert (1, (1,) * (n - 1)) not in keys
-        rows = [ihara._stuffle_row(a, v) for a, v in keys]
-        assert rows == [_reference_stuffle_row(a, v) for a, v in keys]
+        rows = [_reference_stuffle_row(a, v) for a, v in keys]
+        # the library keys its rows by word code
+        assert [ihara._stuffle_row(a, v) for a, v in keys] == [
+            {ihara._word_code(w): c for w, c in row.items()} for row in rows]
         for f in special_basis(n):
             tensor = expand_assoc(f).terms
             for key, row in zip(keys, rows):
@@ -226,6 +230,75 @@ def test_stuffle_miss_falls_back_to_five_cycle(monkeypatch):
     assert {n: r for n, (_, r) in got.items()} == {
         **{n: "stuffle" for n in range(2, 7)},
         **{n: "bounds" for n in range(7, 11)}}
+
+
+def test_word_codes_slice_as_words():
+    # a leading 1 bit, then one bit per letter: every x,y word through
+    # length 12 round-trips, its prefixes are shifts and its suffixes
+    # masks, and codes of equal length compare as the words do
+    for n in range(1, 13):
+        words = list(itertools.product((0, 1), repeat=n))
+        codes = [ihara._word_code(w) for w in words]
+        assert codes == list(range(2 ** n, 2 ** (n + 1)))
+        for w, code in zip(words, codes):
+            assert tuple(int(c) for c in bin(code)[3:]) == w
+            for i in range(1, n):
+                low = 1 << n - i
+                assert code >> n - i == ihara._word_code(w[:i])
+                assert code & low - 1 | low == ihara._word_code(w[i:])
+    assert ihara._composition_code((3, 1, 2)) == ihara._word_code(
+        (0, 0, 1, 1, 0, 1))
+
+
+def test_coded_tensor_coefficients_match_the_tuple_route():
+    # (P_l | s) on word codes, keyed by the id of l, against
+    # lie._tensor_coefficients on word tuples, for every x,y word through
+    # length 11, from a cold memo that every length then shares
+    ihara.clear_caches()
+    memo = {}
+    try:
+        for n in range(1, 12):
+            for s in itertools.product((0, 1), repeat=n):
+                got = ihara._coded_tensor_coefficients(ihara._word_code(s))
+                assert ({_word_of(i): c for i, c in got.items()}
+                        == _tensor_coefficients(s, memo)), s
+        assert len(ihara._TENSOR_MEMO) == len(memo) == 2 ** 12 - 2
+    finally:
+        ihara.clear_caches()
+
+
+def test_stable_bases_are_thread_safe_from_cold_caches():
+    # four threads build D_2 to D_11 from cold caches, two upwards and two
+    # downwards, sharing the tensor-coefficient memo, the per-degree
+    # caches and the table of word ids
+    want = {n: special_basis(n) for n in range(2, 12)}
+    ihara.clear_caches()
+    barrier = threading.Barrier(4)
+    results = [None] * 4
+
+    def work(k):
+        barrier.wait()
+        degrees = range(2, 12) if k % 2 else range(11, 1, -1)
+        results[k] = {n: special_basis(n) for n in degrees}
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert ihara._TENSOR_MEMO
+        assert results == [want] * 4
+        assert {n: five_cycle_route(n) for n in range(2, 12)} == dict.fromkeys(
+            range(2, 12), "stuffle")
+    finally:
+        ihara.clear_caches()
 
 
 @pytest.mark.slow
@@ -535,7 +608,7 @@ def test_pentagon_base_part_is_two_cycle_defect():
             f = LieElement(XY, {w: 1})
             assert base == symmetry_defects(f)[0].terms, w
             # the library's 2-cycle defect, keyed by word index
-            defect = ihara._symmetry_rows(f, n, 0)
+            defect = ihara._symmetry_rows(ihara._indexed(f, n), n, 0)
             assert base == {words[i]: c for i, c in defect.items()}, w
 
 
@@ -1212,18 +1285,31 @@ def test_clear_caches_rebuilds_identical_bases(force_five_cycle):
     assert ihara._operand_derivation.cache_info().currsize
     assert ihara._operand_is_stable.cache_info().currsize
     assert ihara._primitive_bracket.cache_info().currsize
+    # the stuffle cut, which the fixture bypasses, fills the shared
+    # tensor-coefficient memo and gives the bases the 5-cycle route gave
+
+    def stuffle_bases():
+        return {n: list(_stuffle_cut(n, ihara._lower_bound(n)[0])[0])
+                for n in range(2, 10)}
+
+    assert stuffle_bases() == before
+    assert ihara._TENSOR_MEMO and ihara._content_words.cache_info().currsize
     ihara.clear_caches()
     assert not any(ihara._EVAL_CACHE) and not ihara._ACT_ON_WORD
     assert not ihara._ACT_IM and not ihara._STABLE_ROWS
+    assert not ihara._TENSOR_MEMO
     # every lru_cache of the module, so that a new one is not missed: six
-    # per-degree caches, the per-operand derivations and verdicts of
-    # ihara_bracket, and its brackets per pair of operands
+    # per-degree caches, the candidate words of the tensor coefficients,
+    # the per-operand derivations and verdicts of ihara_bracket, and its
+    # brackets per pair of operands
     cached = [f for f in vars(ihara).values() if hasattr(f, "cache_info")
               and f.__module__ == ihara.__name__]
-    assert len(cached) == 9
+    assert len(cached) == 10
     assert all(f.cache_info().currsize == 0 for f in cached)
     assert ihara._operand_derivation.cache_info().currsize == 0
     assert {n: special_basis(n) for n in range(2, 10)} == before
+    assert not ihara._TENSOR_MEMO
+    assert stuffle_bases() == before
     # the bounds decided every degree, so only the quotient was evaluated,
     # and only on the factors of degree-9 words, not on the words
     keys = [k for c in (*ihara._EVAL_CACHE, ihara._ACT_IM) for k in c]
