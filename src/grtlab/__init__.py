@@ -5,10 +5,11 @@ groups.  All arithmetic is exact (integers and rationals)."""
 
 from .errors import (AlphabetMismatchError, AtomicWordError,
                      ClassMismatchError, DegenerateLeadingTermError,
-                     GrtError, InhomogeneousError, LieSyntaxError,
-                     NotALiePolynomialError, NotOneDimensionalError,
-                     PreconditionError, SpecialConditionError,
-                     UnknownGeneratorError, UnsupportedFamilyError)
+                     FallbackLimitError, GrtError, InhomogeneousError,
+                     LieSyntaxError, NotALiePolynomialError,
+                     NotOneDimensionalError, PreconditionError,
+                     SpecialConditionError, UnknownGeneratorError,
+                     UnsupportedFamilyError)
 from .words import (GradedAlphabet, LyndonWord, all_words, is_lyndon,
                     lyndon_words, standard_factorization, tate_weight,
                     weighted_witt_dims, witt_dim)

@@ -75,6 +75,23 @@ class SpecialConditionError(GrtError):
     :class:`GrtError`, to exit code 3."""
 
 
+class FallbackLimitError(GrtError):
+    """The stuffle cut missed the lower bound on dim D_n in a degree above
+    the highest one the 5-cycle fallback of ``ihara`` has been run at,
+    where that fallback would run for hours.  A miss is not a bug: the
+    bound certifies a cut, and a cut that falls short of it decides
+    nothing.  Carries ``degree``, the lower ``bound`` that was missed and
+    the fallback's degree ``limit``; the command line maps it, like every
+    :class:`GrtError`, to exit code 3."""
+
+    def __init__(self, degree, bound, limit):
+        super().__init__(
+            f"degree {degree}: the stuffle cut missed the lower bound "
+            f"{bound}, and the 5-cycle fallback runs only through degree "
+            f"{limit}")
+        self.degree, self.bound, self.limit = degree, bound, limit
+
+
 class ClassMismatchError(GrtError):
     """Operands of a nilpotent group operation disagree in truncation class
     or in the underlying alphabet."""

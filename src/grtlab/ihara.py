@@ -24,7 +24,9 @@ specials cut by single-letter rows of the linearized stuffle relation,
 which every element of D_n satisfies (Furusho; see :func:`_stuffle_cut`).
 Where that cut misses the bound, the hex space (special, 2-cycle and
 3-cycle) is cut by the 5-cycle, in a quotient of the model certified the
-same way, and then over the full model (see :func:`five_cycle_route`).
+same way, and then over the full model (see :func:`five_cycle_route`);
+above degree 15, where that would run for hours, a miss raises
+:class:`~grtlab.errors.FallbackLimitError`.
 :func:`special_dim_mod` runs the same stages over GF(p).
 
 Each f in D_n determines the derivation D_f with D_f(x) = 0 and
@@ -44,8 +46,8 @@ from typing import Mapping, Sequence
 
 from .derivations import X, XY, Y, Derivation
 from .errors import (AlphabetMismatchError, DegenerateLeadingTermError,
-                     NotOneDimensionalError, PreconditionError,
-                     SpecialConditionError)
+                     FallbackLimitError, NotOneDimensionalError,
+                     PreconditionError, SpecialConditionError)
 from .lie import (LieElement, _bracket_into, _factor_ids, _id_images,
                   _ids_of, _intern, _merge_scaled, _word_of, _words_of,
                   bracket, from_coordinates, lie_to_string)
@@ -70,8 +72,14 @@ DEFAULT_MAX_DEGREE = 12
 #: takes 11-12 s at 146 MiB, as does ``ihara basis --degree 15`` (three
 #: runs each, BENCH_int-stuffle-route.json); the stuffle cut decides every
 #: degree.  The 5-cycle route took 117 s at 831 MiB through degree 15
-#: (BENCH_stuffle-cut.json).
+#: (BENCH_stuffle-cut.json).  Where the stuffle cut misses above
+#: _FIVE_CYCLE_MAX_DEGREE, FallbackLimitError is raised (exit code 3).
 HARD_MAX_DEGREE = 15
+#: Highest degree at which a miss of the stuffle cut falls back to the
+#: 5-cycle route, the highest one that route has been run at.  Above it
+#: the fallback would run for hours, so _stable_pairs raises
+#: FallbackLimitError instead, over Q and over GF(p) alike.
+_FIVE_CYCLE_MAX_DEGREE = 15
 
 
 # ---------------------------------------------------------------------
@@ -447,13 +455,17 @@ def _content_words(length: int, ys: int) -> tuple:
 
 
 def _coded_tensor_coefficients(s: int) -> dict:
-    """{id of l: (P_l | s)} for the x,y word with code s: the recursion of
-    :func:`lie._tensor_coefficients` on codes, kept in _TENSOR_MEMO.
+    """{id of l: (P_l | s)} for the x,y word with code s, kept in
+    _TENSOR_MEMO: the coefficients of the standard bracketings P_l =
+    sigma(l) on the word s in the tensor algebra, a column of
+    :func:`lie.expand_assoc` read off one word without expanding any l.
 
-    For l = a b, its standard factorization, (P_l | s) = (P_a | s')
-    (P_b | s'') - (P_b | t') (P_a | t''), with s = s' s'' split at |a| and
-    s = t' t'' at |b|, over the Lyndon words l <= s with the letters of s
-    (the candidates of :func:`_content_words`).  A word below every
+    Only l <= s with the letters of s take part, since sigma(l) is l plus
+    larger words of its content (the candidates of
+    :func:`_content_words`).  For l = a b, its standard factorization,
+    (P_l | s) = (P_a | s') (P_b | s'') - (P_b | t') (P_a | t''), with
+    s = s' s'' split at |a| and s = t' t'' at |b|, so the coefficients on
+    s come from those on its prefixes and suffixes.  A word below every
     candidate has no coefficient and reads no substring.  The values are
     shared, not copied."""
     got = _TENSOR_MEMO.get(s)
@@ -775,9 +787,10 @@ def _stable_pairs(n: int, p: int | None = None) -> tuple:
     sum to the quotient one, so its kernel K_q contains D_n, and where dim
     K_q meets the bound that budget decides.  Otherwise the next budget
     cuts: the a1-degree <= 1 quotient alone, whose kernel lies inside the
-    first one, and then the full fiber, which needs no bound.  Every
-    bracket of B_n must lie in the cut that decides (see
-    :func:`_check_brackets`).
+    first one, and then the full fiber, which needs no bound.  Above
+    degree _FIVE_CYCLE_MAX_DEGREE a miss raises
+    :class:`~grtlab.errors.FallbackLimitError` instead.  Every bracket of
+    B_n must lie in the cut that decides (see :func:`_check_brackets`).
     """
     if n < 2:
         return (), (), (), None
@@ -786,6 +799,8 @@ def _stable_pairs(n: int, p: int | None = None) -> tuple:
     if cut is not None:
         _check_brackets(n, brackets, cut, "stuffle", p)
         return _decided(n, cut, "stuffle", p)
+    if n > _FIVE_CYCLE_MAX_DEGREE:
+        raise FallbackLimitError(n, bound, _FIVE_CYCLE_MAX_DEGREE)
     hexes = _hex_pairs(n, p)
     # The evaluator skips the base part, f + f(y, x); it must vanish here.
     # Only the 2-cycle defect is built: the 3-cycle images are dense.

@@ -267,7 +267,9 @@ def witt_dim(num_letters: int, degree: int) -> int:
             "witt_dim needs num_letters >= 1 and degree >= 1")
     n = degree
     total = sum(_mobius(d) * num_letters ** (n // d) for d in _divisors(n))
-    assert total % n == 0
+    if total % n:
+        raise AssertionError(
+            f"necklace sum {total} is not divisible by the degree {n}")
     return total // n
 
 
@@ -306,7 +308,10 @@ def _dims_by_pbw(degrees: tuple[int, ...], max_degree: int) -> dict[int, int]:
                     for j in range(0, (N - i) // n + 1):
                         out[i + n * j] += si * factor[n * j]
             series = out
-        assert series[n] == 0
+        if series[n]:
+            raise AssertionError(
+                f"degree {n}: the PBW series keeps {series[n]} after "
+                "its factor is divided out")
     return dims
 
 

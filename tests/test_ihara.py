@@ -12,6 +12,7 @@ import pytest
 
 from grtlab import (
     AlphabetMismatchError,
+    FallbackLimitError,
     GradedAlphabet,
     LieElement,
     NotOneDimensionalError,
@@ -42,8 +43,8 @@ from grtlab.cli import run
 from grtlab.derivations import X, XY, Y
 from grtlab.ihara import (_eval_word, _hex_pairs, _pentagon_rows,
                           _stuffle_cut, five_cycle_budget, five_cycle_route)
-from grtlab.lie import (_intern, _merge_scaled, _tensor_coefficients,
-                        _word_of, _words_of, from_coordinates)
+from grtlab.lie import (_intern, _merge_scaled, _word_of, _words_of,
+                        from_coordinates)
 from grtlab.linalg import _echelon, _positive, _sparse
 from grtlab.words import _lyndon_tuples
 
@@ -250,19 +251,22 @@ def test_word_codes_slice_as_words():
         (0, 0, 1, 1, 0, 1))
 
 
-def test_coded_tensor_coefficients_match_the_tuple_route():
-    # (P_l | s) on word codes, keyed by the id of l, against
-    # lie._tensor_coefficients on word tuples, for every x,y word through
-    # length 11, from a cold memo that every length then shares
+def test_coded_tensor_coefficients_read_the_expansion_by_word():
+    # (P_l | s) on word codes, keyed by the id of l, against the columns
+    # of the full expansions of the Lyndon words l, for every x,y word
+    # through length 11, from a cold memo that every length then shares
     ihara.clear_caches()
-    memo = {}
     try:
         for n in range(1, 12):
+            want = {}
+            for w in _lyndon_tuples((1, 1), n):
+                for s, c in expand_assoc(LieElement(XY, {w: 1})).terms.items():
+                    want.setdefault(s, {})[w] = c
             for s in itertools.product((0, 1), repeat=n):
                 got = ihara._coded_tensor_coefficients(ihara._word_code(s))
                 assert ({_word_of(i): c for i, c in got.items()}
-                        == _tensor_coefficients(s, memo)), s
-        assert len(ihara._TENSOR_MEMO) == len(memo) == 2 ** 12 - 2
+                        == want.get(s, {})), s
+        assert len(ihara._TENSOR_MEMO) == 2 ** 12 - 2
     finally:
         ihara.clear_caches()
 
@@ -513,6 +517,28 @@ def test_modular_miss_falls_back_to_a1_quotient():
     assert len(ihara._cut(9, _hex_pairs(9, 2), (1, 2), 2)[0]) == 3
     assert special_dim_mod(9, 2) == 1
     assert ihara._stable_pairs(9, 2)[3] == A1_ONLY
+    # In degree 11 it misses too, and the first budget decides dim 2.
+    assert ihara._stuffle_cut(11, 2, 2) is None
+    assert special_dim_mod(11, 2) == 2
+    assert ihara._stable_pairs(11, 2)[3] == ihara._budgets(11)[0] == (1, 4)
+
+
+def test_miss_above_the_fallback_limit_raises(monkeypatch,
+                                              force_five_cycle):
+    # With the 5-cycle fallback limited to degree 10, a miss in degree 11
+    # raises FallbackLimitError over Q and GF(p), never an AssertionError,
+    # and the command line exits 3; degree 10 is unchanged.
+    monkeypatch.setattr(ihara, "_FIVE_CYCLE_MAX_DEGREE", 10)
+    force_five_cycle({11})
+    for call in (lambda: special_dim(11), lambda: special_dim_mod(11, 101)):
+        with pytest.raises(FallbackLimitError) as info:
+            call()
+        assert not isinstance(info.value, AssertionError)
+        assert (info.value.degree, info.value.bound,
+                info.value.limit) == (11, 2, 10)
+        assert str(info.value).startswith("degree 11:")
+    assert run(["ihara", "basis", "--degree", "11"]).status == 3
+    assert special_dim(10) == 1 and five_cycle_route(10) == "stuffle"
 
 
 def test_modular_short_bound_falls_back_to_full_route(monkeypatch):

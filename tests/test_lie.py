@@ -29,7 +29,7 @@ from grtlab import (
 
 from grtlab import lie
 from grtlab.lie import (_basis_bracket, _bracket_into, _id_images, _intern,
-                        _tensor_coefficients, _word_of, _words_of)
+                        _word_of, _words_of)
 from grtlab.words import _lyndon_tuples
 
 from conftest import (XY, XYZ, random_element, random_homogeneous,
@@ -239,22 +239,6 @@ def test_expand_assoc_triangular():
             least = min(terms)
             assert least == w.letters
             assert terms[w.letters] == 1
-
-
-def test_tensor_coefficients_read_the_expansion_by_word():
-    # (P_l | s) from prefixes and suffixes, against the full expansions;
-    # one memo serves every word of every degree
-    for letters, top in ((2, 9), (3, 6)):
-        memo = {}
-        for n in range(1, top + 1):
-            want = {}
-            for w in _lyndon_tuples((1,) * letters, n):
-                for s, c in expand_assoc(LieElement(
-                        XY if letters == 2 else XYZ, {w: 1})).terms.items():
-                    want.setdefault(s, {})[w] = c
-            for s in itertools.product(range(letters), repeat=n):
-                assert _tensor_coefficients(s, memo) == want.get(s, {}), s
-        assert len(memo) == sum(letters ** n for n in range(1, top + 1))
 
 
 def test_coordinates_roundtrip():
