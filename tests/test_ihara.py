@@ -251,10 +251,11 @@ def test_word_codes_slice_as_words():
         (0, 0, 1, 1, 0, 1))
 
 
-def test_coded_tensor_coefficients_read_the_expansion_by_word():
-    # (P_l | s) on word codes, keyed by the id of l, against the columns
-    # of the full expansions of the Lyndon words l, for every x,y word
-    # through length 11, from a cold memo that every length then shares
+def test_coded_tensor_coefficients_match_the_tuple_route():
+    # (P_l | s) on word codes, keyed by the id of l, against the route on
+    # word tuples: the columns of the full expansions of the Lyndon words
+    # l, for every x,y word through length 11, from a cold memo that
+    # every length then shares
     ihara.clear_caches()
     try:
         for n in range(1, 12):

@@ -30,7 +30,7 @@ from grtlab import (
 from grtlab import lie
 from grtlab.lie import (_basis_bracket, _bracket_into, _id_images, _intern,
                         _word_of, _words_of)
-from grtlab.words import _lyndon_tuples
+from grtlab.words import _lyndon_tuples, _std_factorization
 
 from conftest import (XY, XYZ, random_element, random_homogeneous,
                       reference_basis_bracket)
@@ -239,6 +239,34 @@ def test_expand_assoc_triangular():
             least = min(terms)
             assert least == w.letters
             assert terms[w.letters] == 1
+
+
+def test_tensor_coefficients_read_the_expansion_by_word():
+    # (P_l | s) read off the full expansions word by word obeys the
+    # bracket identity P_l = [P_a, P_b] for the standard factorization
+    # l = ab: (P_l | s) = (P_a | s') (P_b | s'') - (P_b | t') (P_a | t'')
+    # over the two splits of s at |a| and at |b|
+    for letters, top in ((2, 9), (3, 6)):
+        alphabet = XY if letters == 2 else XYZ
+        col = {}
+        for n in range(1, top + 1):
+            for w in _lyndon_tuples((1,) * letters, n):
+                for s, c in expand_assoc(LieElement(alphabet,
+                                                    {w: 1})).terms.items():
+                    col.setdefault(s, {})[w] = c
+
+        def at(s, w):
+            return col.get(s, {}).get(w, 0)
+
+        for s in itertools.product(range(letters), repeat=1):
+            assert col[s] == {s: 1}
+        for n in range(2, top + 1):
+            for w in _lyndon_tuples((1,) * letters, n):
+                a, b = _std_factorization(w)
+                for s in itertools.product(range(letters), repeat=n):
+                    want = (at(s[:len(a)], a) * at(s[len(a):], b)
+                            - at(s[:len(b)], b) * at(s[len(b):], a))
+                    assert at(s, w) == want, (w, s)
 
 
 def test_coordinates_roundtrip():
