@@ -10,11 +10,11 @@ computation precondition.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import derivations, ihara, malcev, motivic
 from .errors import GrtError, LieSyntaxError
@@ -35,13 +35,6 @@ class CommandResult:
 
 class _UsageError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems as exit code 1 instead of 2."""
-
-    def error(self, message):
-        raise _UsageError(f"{self.prog}: {message}")
 
 
 def _jsonify(obj):
@@ -66,6 +59,7 @@ def _int_list(text: str) -> list[int]:
         try:
             out.append(int(token))
         except ValueError:
+            import argparse  # only a usage error needs it
             raise argparse.ArgumentTypeError(f"not an integer: {token!r}")
     return out
 
@@ -280,131 +274,182 @@ def _cmd_malcev_filtration(args):
 
 
 # ---------------------------------------------------------------------
-# parser wiring
+# the verb table: group -> verb -> (help, arguments), each argument a
+# (name, argparse keyword arguments) pair.  Handlers are found by name,
+# ``_cmd_<group>_<verb>``, when the call runs, so that a handler replaced
+# after import is the one that runs.
 # ---------------------------------------------------------------------
 
-def _verb(verbs, name, handler, **kwargs):
-    p = verbs.add_parser(name, **kwargs)
-    p.set_defaults(handler=handler)
-    p.add_argument("--json", action="store_true",
-                   help="emit a JSON document instead of a table")
-    return p
+_JSON = ("--json", {"action": "store_true", "default": False,
+                    "help": "emit a JSON document instead of a table"})
+_ALPHABET = ("--alphabet", {"default": "x y"})
+_DEGREE = ("--degree", {"type": int, "required": True})
+_CLASS = ("--class", {"dest": "cls", "type": int, "required": True})
+_PROFILE = (("--r1", {"type": int, "required": True}),
+            ("--r2", {"type": int, "required": True}),
+            ("--s", {"type": int, "required": True}))
+
+_VERBS = {
+    "lie": {
+        "dim": ("graded dimension counts", (
+            ("--letters", {"type": int, "default": 2}),
+            _DEGREE,
+            ("--generator-degrees", {
+                "type": _int_list,
+                "help": "comma list; switches to weighted dimensions"}))),
+        "lyndon": ("list basis words", (_ALPHABET, _DEGREE)),
+        "bracket": ("bracket two expressions", (
+            _ALPHABET, ("--max-degree", {"type": int, "default": None}),
+            ("left", {}), ("right", {}))),
+        "parse": ("canonicalize an expression",
+                  (_ALPHABET, ("expression", {}))),
+        "expand": ("expand into the tensor algebra",
+                   (_ALPHABET, ("expression", {}))),
+    },
+    "der": {
+        "outdim": ("outer derivation dimension", (_DEGREE,)),
+        "apply": ("apply the derivation with the given generator images", (
+            ("--image-x", {"required": True}),
+            ("--image-y", {"required": True}),
+            ("target", {}))),
+    },
+    "ihara": {
+        "basis": ("stable space basis", (_DEGREE,)),
+        "soule": ("normalized generator", (_DEGREE,)),
+        "bracket": ("bracket of two normalized generators", (
+            ("--left", {"type": int, "required": True}),
+            ("--right", {"type": int, "required": True}))),
+        "congruence": ("divisibility report for the degree-12 combination",
+                       (("--modulus", {"type": int, "default": 691}),)),
+        "freeness": ("stable dims vs free-model dims", (
+            ("--max-degree", {"type": int,
+                              "default": ihara.DEFAULT_MAX_DEGREE}),)),
+    },
+    "motivic": {
+        "dn": (None, (*_PROFILE, ("--n", {"type": int, "required": True}))),
+        "ext": (None, (*_PROFILE, ("--i", {"type": int, "required": True}),
+                       ("--n", {"type": int, "required": True}))),
+        "kdims": (None, (*_PROFILE,
+                         ("--max-degree", {"type": int, "required": True}))),
+        "image": ("free-model dimension table",
+                  (("--max-degree", {"type": int, "required": True}),)),
+    },
+    "malcev": {
+        "bch": ("truncated group product",
+                (_CLASS, _ALPHABET, ("left", {}), ("right", {}))),
+        "word": ("group word to logarithm coordinates",
+                 (_CLASS, _ALPHABET, ("word", {}))),
+        "filtration": ("lower central series lattice report", (
+            ("--family", {"required": True}),
+            ("--params", {"type": _int_list, "default": []}),
+            ("--max-m", {"type": int, "default": None}),
+            ("--class", {"dest": "cls", "type": int, "default": 2}),
+            _ALPHABET,
+            ("--generator", {"action": "append", "default": []}))),
+    },
+}
 
 
-def _lie_verbs(lie) -> None:
-    p = _verb(lie, "dim", _cmd_lie_dim, help="graded dimension counts")
-    p.add_argument("--letters", type=int, default=2)
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--generator-degrees", type=_int_list,
-                   help="comma list; switches to weighted dimensions")
-    p = _verb(lie, "lyndon", _cmd_lie_lyndon, help="list basis words")
-    p.add_argument("--alphabet", default="x y")
-    p.add_argument("--degree", type=int, required=True)
-    p = _verb(lie, "bracket", _cmd_lie_bracket, help="bracket two expressions")
-    p.add_argument("--alphabet", default="x y")
-    p.add_argument("--max-degree", type=int, default=None)
-    p.add_argument("left")
-    p.add_argument("right")
-    p = _verb(lie, "parse", _cmd_lie_parse, help="canonicalize an expression")
-    p.add_argument("--alphabet", default="x y")
-    p.add_argument("expression")
-    p = _verb(lie, "expand", _cmd_lie_expand,
-              help="expand into the tensor algebra")
-    p.add_argument("--alphabet", default="x y")
-    p.add_argument("expression")
+def _read(argv: list[str]) -> dict | None:
+    """The namespace of a well-formed call, read straight off ``_VERBS``:
+    group and verb, then ``--json`` or exact long flags each followed by a
+    value that does not start with ``-``, and exactly the verb's
+    positionals.  None for anything else (help, abbreviated or unknown
+    flags, ``--flag=value``, a failed conversion, a missing flag), which
+    argparse then parses or reports.  On what it accepts, the result is
+    ``vars()`` of argparse's namespace."""
+    if len(argv) < 2 or argv[1] not in _VERBS.get(argv[0], ()):
+        return None
+    values = {"group": argv[0], "verb": argv[1]}
+    flags, positionals = {}, []
+    for name, kw in (_JSON, *_VERBS[argv[0]][argv[1]][1]):
+        if not name.startswith("-"):
+            positionals.append((name, kw))
+            continue
+        dest = kw.get("dest", name[2:].replace("-", "_"))
+        flags[name] = dest, kw
+        values[dest] = kw.get("default")
+    given, seen = [], set()
+    tokens = iter(argv[2:])
+    for token in tokens:
+        if not token.startswith("-"):
+            given.append(token)
+            continue
+        if token not in flags:
+            return None
+        dest, kw = flags[token]
+        seen.add(token)
+        if kw.get("action") == "store_true":
+            values[dest] = True
+            continue
+        value = _convert(kw, next(tokens, None))
+        if value is None:
+            return None
+        if kw.get("action") == "append":
+            values[dest] = [*values[dest], value]
+        else:
+            values[dest] = value
+    if len(given) != len(positionals) or any(
+            flags[name][1].get("required") and name not in seen
+            for name in flags):
+        return None
+    for (name, kw), token in zip(positionals, given):
+        values[name] = _convert(kw, token)
+        if values[name] is None:
+            return None
+    return values
 
 
-def _der_verbs(der) -> None:
-    p = _verb(der, "outdim", _cmd_der_outdim,
-              help="outer derivation dimension")
-    p.add_argument("--degree", type=int, required=True)
-    p = _verb(der, "apply", _cmd_der_apply,
-              help="apply the derivation with the given generator images")
-    p.add_argument("--image-x", required=True)
-    p.add_argument("--image-y", required=True)
-    p.add_argument("target")
+def _convert(kw: dict, token: str | None):
+    """``token`` converted by the argument's ``type``; None when it is
+    missing, starts with ``-`` or does not convert."""
+    if token is None or token.startswith("-"):
+        return None
+    try:
+        return kw.get("type", str)(token)
+    except Exception:  # argparse reports the failure from its own parse
+        return None
 
 
-def _ihara_verbs(ih) -> None:
-    p = _verb(ih, "basis", _cmd_ihara_basis, help="stable space basis")
-    p.add_argument("--degree", type=int, required=True)
-    p = _verb(ih, "soule", _cmd_ihara_soule, help="normalized generator")
-    p.add_argument("--degree", type=int, required=True)
-    p = _verb(ih, "bracket", _cmd_ihara_bracket,
-              help="bracket of two normalized generators")
-    p.add_argument("--left", type=int, required=True)
-    p.add_argument("--right", type=int, required=True)
-    p = _verb(ih, "congruence", _cmd_ihara_congruence,
-              help="divisibility report for the degree-12 combination")
-    p.add_argument("--modulus", type=int, default=691)
-    p = _verb(ih, "freeness", _cmd_ihara_freeness,
-              help="stable dims vs free-model dims")
-    p.add_argument("--max-degree", type=int,
-                   default=ihara.DEFAULT_MAX_DEGREE)
+def _build_parser(argv: list[str]):
+    """The argparse parser for ``argv``, with the verbs of the group it
+    names only (of every group when it names none): the others are never
+    read.  Built for help and usage errors, which the table reader
+    leaves to argparse."""
+    import argparse
 
+    class _Parser(argparse.ArgumentParser):
+        """argparse that reports usage problems as exit code 1 instead
+        of 2."""
 
-def _motivic_verbs(mo) -> None:
-    for name, handler, extra in (
-            ("dn", _cmd_motivic_dn, (("--n", True),)),
-            ("ext", _cmd_motivic_ext, (("--i", True), ("--n", True))),
-            ("kdims", _cmd_motivic_kdims, (("--max-degree", True),))):
-        p = _verb(mo, name, handler)
-        p.add_argument("--r1", type=int, required=True)
-        p.add_argument("--r2", type=int, required=True)
-        p.add_argument("--s", type=int, required=True)
-        for flag, req in extra:
-            p.add_argument(flag, type=int, required=req)
-    p = _verb(mo, "image", _cmd_motivic_image,
-              help="free-model dimension table")
-    p.add_argument("--max-degree", type=int, required=True)
+        def error(self, message):
+            raise _UsageError(f"{self.prog}: {message}")
 
-
-def _malcev_verbs(ma) -> None:
-    p = _verb(ma, "bch", _cmd_malcev_bch, help="truncated group product")
-    p.add_argument("--class", dest="cls", type=int, required=True)
-    p.add_argument("--alphabet", default="x y")
-    p.add_argument("left")
-    p.add_argument("right")
-    p = _verb(ma, "word", _cmd_malcev_word,
-              help="group word to logarithm coordinates")
-    p.add_argument("--class", dest="cls", type=int, required=True)
-    p.add_argument("--alphabet", default="x y")
-    p.add_argument("word")
-    p = _verb(ma, "filtration", _cmd_malcev_filtration,
-              help="lower central series lattice report")
-    p.add_argument("--family", required=True)
-    p.add_argument("--params", type=_int_list, default=[])
-    p.add_argument("--max-m", type=int, default=None)
-    p.add_argument("--class", dest="cls", type=int, default=2)
-    p.add_argument("--alphabet", default="x y")
-    p.add_argument("--generator", action="append", default=[])
-
-
-_GROUPS = {"lie": _lie_verbs, "der": _der_verbs, "ihara": _ihara_verbs,
-           "motivic": _motivic_verbs, "malcev": _malcev_verbs}
-
-
-def _build_parser(argv: list[str]) -> _Parser:
-    """The parser for ``argv``, with the verbs of the group it names only
-    (of every group when it names none): the others are never read."""
     top = _Parser(prog="grt", description=__doc__)
     groups = top.add_subparsers(dest="group", required=True)
     named = next((a for a in argv if not a.startswith("-")), None)
-    for name, wire in _GROUPS.items():
-        group = groups.add_parser(name)
-        if named == name or named not in _GROUPS:
-            wire(group.add_subparsers(dest="verb", required=True))
+    for group_name, verbs in _VERBS.items():
+        group = groups.add_parser(group_name)
+        if named != group_name and named in _VERBS:
+            continue
+        sub = group.add_subparsers(dest="verb", required=True)
+        for verb, (text, arguments) in verbs.items():
+            p = sub.add_parser(verb, **({"help": text} if text else {}))
+            for name, kw in (_JSON, *arguments):
+                p.add_argument(name, **kw)
     return top
 
 
 def run(argv: list[str]) -> CommandResult:
     """Dispatch one invocation; never raises on expected error classes."""
-    parser = _build_parser(argv)
     try:
-        args = parser.parse_args(argv)
-        payload, rendering = args.handler(args)
-        return CommandResult(0, _jsonify(payload), rendering,
-                             getattr(args, "json", False))
+        values = _read(argv)
+        if values is None:
+            values = vars(_build_parser(argv).parse_args(argv))
+        args = SimpleNamespace(**values)
+        handler = globals()[f"_cmd_{args.group}_{args.verb}"]
+        payload, rendering = handler(args)
+        return CommandResult(0, _jsonify(payload), rendering, args.json)
     except _UsageError as e:
         return CommandResult(USAGE_EXIT, {"error": str(e)}, str(e))
     except LieSyntaxError as e:

@@ -9,6 +9,7 @@ wherever that wrapper is on PATH.
 import json
 import os
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -195,6 +196,205 @@ def test_json_output_deterministic():
     assert c.payload["terms"] == {"xy": "1/2"}
 
 
+#: Calls the table reader accepts: every verb as the tests, README.md,
+#: perfbench and CI call it.
+_WELL_FORMED = [
+    ["lie", "dim", "--degree", "5"],
+    ["lie", "dim", "--degree", "0"],
+    ["lie", "dim", "--degree", "6", "--generator-degrees", "2,3"],
+    ["lie", "dim", "--letters", "3", "--degree", "4", "--json"],
+    ["lie", "lyndon", "--degree", "3"],
+    ["lie", "lyndon", "--degree", "3", "--alphabet", "x x"],
+    ["lie", "bracket", "x", "[x,y]"],
+    ["lie", "bracket", "--alphabet", "a:2 b:3", "a", "b"],
+    ["lie", "bracket", "1/2*x", "y", "--json"],
+    ["lie", "bracket", "--max-degree", "3", "[x,y]", "x + 2*y"],
+    ["lie", "parse", "2*[x,y] - [x,y]", "--json"],
+    ["lie", "parse", "[x,y"],
+    ["lie", "expand", "[x,y]"],
+    ["der", "outdim", "--degree", "1"],
+    ["der", "apply", "--image-x", "0", "--image-y", "[x,y]", "y"],
+    ["ihara", "basis", "--degree", "17"],
+    ["ihara", "soule", "--degree", "3"],
+    ["ihara", "bracket", "--left", "3", "--right", "5", "--json"],
+    ["ihara", "congruence", "--json"],
+    ["ihara", "congruence", "--modulus", "7", "--json"],
+    ["ihara", "freeness"],
+    ["ihara", "freeness", "--max-degree", "10", "--json"],
+    ["motivic", "dn", "--r1", "1", "--r2", "0", "--s", "1", "--n", "7"],
+    ["motivic", "ext", "--r1", "1", "--r2", "0", "--s", "1", "--i", "2",
+     "--n", "4"],
+    ["motivic", "kdims", "--r1", "2", "--r2", "1", "--s", "2",
+     "--max-degree", "9", "--json"],
+    ["motivic", "image", "--max-degree", "12", "--json"],
+    ["malcev", "bch", "--class", "2", "x", "y"],
+    ["malcev", "word", "--class", "2", "x y x^-1 y^-1"],
+    ["malcev", "filtration", "--family", "FreeGroup", "--params", "2,6",
+     "--json"],
+    ["malcev", "filtration", "--family", "LatticeTimesCyclic", "--params",
+     "1,3", "--max-m", "3"],
+    ["malcev", "filtration", "--family", "SubgroupOfNilpotent", "--class",
+     "4", "--alphabet", "a:1 b:2", "--generator", "a", "--generator", "b"],
+    ["malcev", "filtration", "--family", "Nonsense"],
+    # a positional between flags, and empty-string values
+    ["lie", "bracket", "--alphabet", "a:2 b:3", "a", "--max-degree", "5",
+     "b"],
+    ["malcev", "bch", "x", "--class", "2", "y", "--alphabet", "x y"],
+    ["lie", "lyndon", "--alphabet", "", "--degree", "2"],
+    ["lie", "parse", ""],
+    ["lie", "dim", "--degree", "2", "--generator-degrees", ""],
+]
+
+
+def _variants(argv):
+    """``argv``, its flags in reverse order, and ``--json`` first and last."""
+    head, tail, flags, positionals = argv[:2], iter(argv[2:]), [], []
+    for token in tail:
+        if token == "--json":
+            flags.append([token])
+        elif token.startswith("--"):
+            flags.append([token, next(tail)])
+        else:
+            positionals.append(token)
+    reordered = [t for chunk in reversed(flags) for t in chunk]
+    return [argv, [*head, *reordered, *positionals],
+            [*head, "--json", *argv[2:]], [*argv, "--json"]]
+
+
+def test_reader_agrees_with_argparse():
+    readme = [argv for argv, _ in _readme_examples()]
+    calls = [v for argv in (*_WELL_FORMED, *readme) for v in _variants(argv)]
+    assert {(a[0], a[1]) for a in calls} == {
+        (g, v) for g, verbs in cli._VERBS.items() for v in verbs}
+    for argv in calls:
+        read = cli._read(argv)
+        assert read is not None, argv
+        assert read == vars(cli._build_parser(argv).parse_args(argv)), argv
+
+
+#: Calls the table reader leaves to argparse, with the status and rendering
+#: they have always had.
+_TO_ARGPARSE = [
+    (["lie", "dim", "--degree=5"], 0, "6"),
+    (["lie", "dim", "--degree", "-1"], 3,
+     "witt_dim needs num_letters >= 1 and degree >= 1"),
+    (["malcev", "filtration", "--family", "SubgroupOfNilpotent", "--class",
+      "2", "--alphabet", "x1 x2", "--generator", "-3*x1 + x2"], 0,
+     "        m      rank   torsion   d_mod_l\n"
+     "        1         1        []        []\n"
+     "        2         0        []        []"),
+    (["lie", "parse", "-"], 2, "expected a generator, '[' or '(', found "
+     "'end of input' (at position 1)"),
+    (["lie", "dim", "--", "--degree", "3"], 1,
+     "grt lie dim: the following arguments are required: --degree"),
+    (["lie", "dim", "--degree", "3", "--nosuch", "1"], 1,
+     "grt: unrecognized arguments: --nosuch 1"),
+    (["malcev", "filtration", "--family", "FreeGroup", "--params", "2,x"], 1,
+     "grt malcev filtration: argument --params: not an integer: 'x'"),
+    (["lie", "dim"], 1,
+     "grt lie dim: the following arguments are required: --degree"),
+    (["lie", "parse", "x", "y"], 1, "grt: unrecognized arguments: y"),
+    (["lie", "dim", "--degree"], 1,
+     "grt lie dim: argument --degree: expected one argument"),
+    (["lie", "nosuchverb"], 1, "grt lie: argument verb: invalid choice: "
+     "'nosuchverb' (choose from 'dim', 'lyndon', 'bracket', 'parse', "
+     "'expand')"),
+    ([], 1, "grt: the following arguments are required: group"),
+]
+
+
+def test_argparse_takes_what_the_reader_refuses(capsys):
+    abbreviated = ["ihara", "freeness", "--max-deg", "10"]
+    assert cli._read(abbreviated) is None
+    r = run(abbreviated)
+    assert (r.status, r.rendering) == (0, run(
+        ["ihara", "freeness", "--max-degree", "10"]).rendering)
+    for argv, status, rendering in _TO_ARGPARSE:
+        assert cli._read(argv) is None, argv
+        r = run(argv)
+        assert (r.status, r.rendering) == (status, rendering), argv
+    assert cli._read(["lie", "dim", "--degree", "3", "-h"]) is None
+    with pytest.raises(SystemExit) as e:
+        run(["lie", "dim", "--degree", "3", "-h"])
+    assert e.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: grt lie dim ")
+
+
+def test_well_formed_calls_never_load_argparse():
+    code = (
+        "import json, sys\n"
+        "from grtlab.cli import run\n"
+        "calls = [['malcev', 'filtration', '--family', 'FreeGroup',\n"
+        "          '--params', '2,6', '--json'],\n"
+        "         ['ihara', 'freeness', '--max-degree', '10', '--json'],\n"
+        "         ['lie', 'dim', '--degree', '4']]\n"
+        "status = [run(argv).status for argv in calls]\n"
+        "loaded = [m for m in ('argparse', 'gettext', 'locale')\n"
+        "          if m in sys.modules]\n"
+        "print(json.dumps([status, loaded, run(['lie', 'dim']).status]))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (
+        str(Path(grtlab.__file__).resolve().parents[1]),
+        env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, check=True)
+    assert json.loads(out.stdout) == [[0, 0, 0], [], 1]
+
+
+def _usage_choices(text):
+    """The choices of the subcommand in the first usage line of ``text``."""
+    return re.search(r"\{([^}]*)\}", text.splitlines()[0]).group(1).split(",")
+
+
+def test_help_at_every_level(capsys):
+    with pytest.raises(SystemExit) as e:
+        run(["--help"])
+    assert e.value.code == 0
+    assert _usage_choices(capsys.readouterr().out) == list(cli._VERBS)
+    for group, verbs in cli._VERBS.items():
+        with pytest.raises(SystemExit) as e:
+            run([group, "--help"])
+        assert e.value.code == 0
+        assert _usage_choices(capsys.readouterr().out) == list(verbs)
+        for verb, (_, arguments) in verbs.items():
+            with pytest.raises(SystemExit) as e:
+                run([group, verb, "--help"])
+            assert e.value.code == 0
+            text = capsys.readouterr().out
+            assert text.startswith(f"usage: grt {group} {verb} ")
+            for name, _ in (cli._JSON, *arguments):
+                assert name in text, (group, verb, name)
+
+
+def _readme_examples():
+    """(argv, printed lines) for each ``$ grt`` line of the block under
+    README.md's "Command line" heading."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("\n## Command line\n")[1]
+    block = section.split("```\n")[1]
+    examples, printed = [], None
+    for line in block.replace("\\\n", " ").splitlines():
+        if line.startswith("$ "):
+            argv = shlex.split(line[2:], comments=True)
+            assert argv[0] == "grt", line
+            printed = []
+            examples.append((argv[1:], printed))
+        elif printed is not None and line.strip() not in ("", "..."):
+            printed.append(line)
+        else:
+            printed = None              # output stops at a gap or "..."
+    return examples
+
+
+def test_readme_examples_run():
+    examples = _readme_examples()
+    assert {argv[0] for argv, _ in examples} == set(cli._VERBS)
+    for argv, printed in examples:
+        r = run(argv)
+        assert r.status == 0, (argv, r.rendering)
+        assert r.rendering.splitlines()[:len(printed)] == printed, argv
+
+
 def _check_process(cmd, route, **kwargs):
     """Exit codes and output streams of ``cmd`` run as a process."""
     def call(*args):
@@ -209,6 +409,10 @@ def _check_process(cmd, route, **kwargs):
     assert "position" in bad.stderr, f"{route}: stderr {bad.stderr!r}"
     usage = call()
     assert usage.returncode == 1, f"{route}: bare call exits {usage.returncode}"
+    helped = call("--help")
+    assert helped.returncode == 0, f"{route}: --help exits {helped.returncode}"
+    assert helped.stdout.startswith("usage: grt"), \
+        f"{route}: --help prints {helped.stdout[:80]!r}"
 
 
 def test_console_entry_point(tmp_path):
